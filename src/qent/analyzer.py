@@ -1,7 +1,20 @@
 """Abstract interpreter: gate rules over the label/partition domain.
 
-One analysis pass walks the circuit tree left to right, applying a
-transfer function per gate. Three rule modes are selectable:
+One analysis pass visits the gates in `iter_gates` order and applies each
+gate's transfer function. The transfer functions live in one table,
+`_RULES`, mapping a GateKind to a rule `rule(state, wire, mode)` that
+mutates the state at the gate's base wire:
+
+* H swaps the labels s and d; on a top wire it drops the wire's level
+  (the superposition breaks any correlation it had with third qubits).
+* T turns d into top and leaves s and top alone.
+* CX is `apply_cx_at(state, wire, wire + 1, mode)`; its four cases are
+  documented there.
+* SW exchanges the two wires across labels and both partitions.
+
+I, X, Y and Z preserve every basis, so they have no entry: they are
+abstract no-ops. `analyze`, `analyze_traced` and `apply_gate` all
+dispatch through the table. Three rule modes are selectable:
 
 * LEVELS (default): full rules. CX joins the entanglement partition when
   it can entangle, marks a fresh diagonal-control/standard-target pair as
@@ -23,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import CircuitAst, Gate, GateKind, Seq, iter_gates, validate
+from .circuit import CircuitAst, GateKind, iter_gates, validate
 from .domain import AbstractState, BasisLabel, init_state
 
 _S = BasisLabel.S
@@ -94,71 +107,53 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
     return st
 
 
-def apply_gate(st: AbstractState, gate: Gate | GateKind, index: int,
+def _h(st: AbstractState, q: int, mode: AnalysisMode) -> None:
+    labels = st.labels
+    lbl = labels[q]
+    if lbl is _S:
+        labels[q] = _D
+    elif lbl is _D:
+        labels[q] = _S
+    elif mode is not AnalysisMode.NO_LEVELS:
+        st.lvl = st.lvl.split(q)
+
+
+def _t(st: AbstractState, q: int, mode: AnalysisMode) -> None:
+    if st.labels[q] is _D:
+        st.labels[q] = _TOP
+
+
+def _cx(st: AbstractState, q: int, mode: AnalysisMode) -> None:
+    apply_cx_at(st, q, q + 1, mode)
+
+
+def _sw(st: AbstractState, q: int, mode: AnalysisMode) -> None:
+    st.swap_adjacent(q)
+
+
+# I, X, Y, Z preserve every basis and have no entry: abstract no-ops.
+_RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _sw}
+
+
+def apply_gate(st: AbstractState, kind: GateKind, index: int,
                mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Apply one gate's transfer function at the given base wire, mutating st."""
-    kind = gate.kind if isinstance(gate, Gate) else gate
     if index < 0 or index + kind.height > st.n:
         raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
-
-    if kind is GateKind.H:
-        lbl = st.labels[index]
-        if lbl is _S:
-            st.labels[index] = _D
-        elif lbl is _D:
-            st.labels[index] = _S
-        elif mode is not AnalysisMode.NO_LEVELS:
-            st.lvl = st.lvl.split(index)
-    elif kind is GateKind.T:
-        if st.labels[index] is _D:
-            st.labels[index] = _TOP
-    elif kind is GateKind.CX:
-        apply_cx_at(st, index, index + 1, mode)
-    elif kind is GateKind.SW:
-        st.swap_adjacent(index)
-    # I, X, Y, Z: basis-preserving, no effect on the abstract state
+    rule = _RULES.get(kind)
+    if rule is not None:
+        rule(st, index, mode)
     return st
 
 
 def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Run the analysis over a validated circuit from the all-|0> state."""
-    n = validate(circuit)
-    st = init_state(n)
-    # hot loop: traversal and dispatch fused, locals hoisted; semantically
-    # identical to apply_gate over iter_gates (pinned by the trace tests)
-    labels = st.labels
-    no_levels = mode is AnalysisMode.NO_LEVELS
-    kh, kt, kcx, ksw = GateKind.H, GateKind.T, GateKind.CX, GateKind.SW
-    gate_cls, seq_cls = Gate, Seq
-    stack: list[tuple[CircuitAst, int]] = [(circuit, 0)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        node, q = pop()
-        cls = node.__class__
-        if cls is gate_cls:
-            k = node.kind
-            if k is kh:
-                lbl = labels[q]
-                if lbl is _S:
-                    labels[q] = _D
-                elif lbl is _D:
-                    labels[q] = _S
-                elif not no_levels:
-                    st.lvl = st.lvl.split(q)
-            elif k is kcx:
-                apply_cx_at(st, q, q + 1, mode)
-            elif k is ksw:
-                st.swap_adjacent(q)
-            elif k is kt:
-                if labels[q] is _D:
-                    labels[q] = _TOP
-        elif cls is seq_cls:
-            push((node.right, q))
-            push((node.left, q))
-        else:
-            push((node.right, q + node.left.height))
-            push((node.left, q))
+    st = init_state(validate(circuit))
+    rules = _RULES.get
+    for gate, index in iter_gates(circuit):
+        rule = rules(gate.kind)
+        if rule is not None:
+            rule(st, index, mode)
     return st
 
 
@@ -166,10 +161,11 @@ def analyze_traced(circuit: CircuitAst,
                    mode: AnalysisMode = AnalysisMode.LEVELS,
                    ) -> tuple[AbstractState, list[TraceStep]]:
     """Like analyze(), also returning a deep-copied snapshot per gate."""
-    n = validate(circuit)
-    st = init_state(n)
+    st = init_state(validate(circuit))
     steps: list[TraceStep] = []
     for gate, index in iter_gates(circuit):
-        apply_gate(st, gate.kind, index, mode)
+        rule = _RULES.get(gate.kind)
+        if rule is not None:
+            rule(st, index, mode)
         steps.append(TraceStep(gate.kind, index, st.copy()))
     return st, steps

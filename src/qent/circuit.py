@@ -12,9 +12,9 @@ override. `#` starts a comment that runs to the end of the line.
 The height of a circuit is the number of wires it spans. Single-qubit
 gates have height 1, SW and CX height 2, a tensor stacks heights, and a
 sequence keeps the height of its left operand. A circuit is well formed
-when both sides of every `oo` span the same wires; CX always means
-control on the lower wire, target directly below it (use SW chains to
-reach other layouts).
+when both sides of every `oo` span the same wires. CX at base wire i
+always has its control on the upper wire i and its target on the wire
+directly below, i + 1 (use SW chains to reach other layouts).
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ class _Token:
     column: int
 
 
-_OPERATOR_CHARS = "*("
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -164,74 +161,53 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over: seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*."""
-
-    def __init__(self, tokens: list[_Token], source_len_line: tuple[int, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line, self.end_col = source_len_line
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> CircuitSyntaxError:
-        tok = self.peek()
-        if tok is None:
-            return CircuitSyntaxError(message + " (unexpected end of input)", self.end_line, self.end_col)
-        return CircuitSyntaxError(message + f", found {tok.text!r}", tok.line, tok.column)
-
-    def parse_seq(self) -> CircuitAst:
-        node = self.parse_tensor()
-        while (tok := self.peek()) is not None and tok.text == "oo":
-            self.advance()
-            node = Seq(node, self.parse_tensor())
-        return node
-
-    def parse_tensor(self) -> CircuitAst:
-        node = self.parse_atom()
-        while (tok := self.peek()) is not None and tok.text == "**":
-            self.advance()
-            node = Tensor(node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> CircuitAst:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected gate or '('")
-        if tok.text in GATES:
-            self.advance()
-            return GATES[tok.text]
-        if tok.text == "(":
-            self.advance()
-            node = self.parse_seq()
-            closing = self.peek()
-            if closing is None or closing.text != ")":
-                raise self.error(f"unbalanced parenthesis opened at {tok.line}:{tok.column}")
-            self.advance()
-            return node
-        raise self.error("expected gate or '('")
-
-
 def parse_circuit(text: str) -> CircuitAst:
     """Parse circuit text into a syntax tree.
 
     Raises CircuitSyntaxError (with line/column) on unknown tokens,
     dangling operators, or unbalanced parentheses. Does not check
     well-formedness; see validate().
+
+    The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
+    atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
+    an explicit stack holding, per open "(", the enclosing sequence and
+    tensor built so far, so nesting depth is unbounded.
     """
     lines = text.split("\n")
-    end = (len(lines), len(lines[-1]) + 1)
-    parser = _Parser(_tokenize(text), end)
-    node = parser.parse_seq()
-    if parser.peek() is not None:
-        raise parser.error("expected operator or end of input")
-    return node
+    end = _Token("", len(lines), len(lines[-1]) + 1)  # end-of-input sentinel
+    tokens = iter(_tokenize(text) + [end])
+
+    def error(message: str, tok: _Token) -> CircuitSyntaxError:
+        found = " (unexpected end of input)" if tok is end else f", found {tok.text!r}"
+        return CircuitSyntaxError(message + found, tok.line, tok.column)
+
+    frames: list[tuple[CircuitAst | None, CircuitAst | None, _Token]] = []
+    seq = tensor = None
+    while True:
+        tok = next(tokens)
+        if tok.text == "(":
+            frames.append((seq, tensor, tok))
+            seq = tensor = None
+            continue
+        if tok.text not in GATES:
+            raise error("expected gate or '('", tok)
+        node = GATES[tok.text]
+        while True:  # fold the finished atom `node` into the open tensor and sequence
+            tensor = node if tensor is None else Tensor(tensor, node)
+            tok = next(tokens)
+            if tok.text == "**":
+                break
+            seq = tensor if seq is None else Seq(seq, tensor)
+            tensor = None
+            if tok.text == "oo":
+                break
+            if not frames:
+                if tok is not end:
+                    raise error("expected operator or end of input", tok)
+                return seq
+            node, (seq, tensor, opening) = seq, frames.pop()
+            if tok.text != ")":
+                raise error(f"unbalanced parenthesis opened at {opening.line}:{opening.column}", tok)
 
 
 def height(circuit: CircuitAst) -> int:
@@ -293,16 +269,29 @@ _PREC = {Seq: 1, Tensor: 2}
 
 
 def unparse(circuit: CircuitAst) -> str:
-    """Render a tree in canonical text; parse_circuit(unparse(c)) == c."""
+    """Render a tree in canonical text; parse_circuit(unparse(c)) == c.
 
-    def render(node: CircuitAst, parent_prec: int, is_right: bool) -> str:
+    Iterative: the stack holds subtrees still to render, with their parent's
+    precedence and side, interleaved with the literal text between them.
+    """
+    out: list[str] = []
+    stack: list = [(circuit, 0, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, parent_prec, is_right = item
         if type(node) is Gate:
-            return node.kind.value
+            out.append(node.kind.value)
+            continue
         prec = _PREC[type(node)]
-        op = " oo " if type(node) is Seq else " ** "
-        body = render(node.left, prec, False) + op + render(node.right, prec, True)
-        if prec < parent_prec or (prec == parent_prec and is_right):
-            return "(" + body + ")"
-        return body
-
-    return render(circuit, 0, False)
+        wrap = prec < parent_prec or (prec == parent_prec and is_right)
+        if wrap:
+            stack.append(")")
+        stack.append((node.right, prec, True))
+        stack.append(" oo " if type(node) is Seq else " ** ")
+        stack.append((node.left, prec, False))
+        if wrap:
+            stack.append("(")
+    return "".join(out)

@@ -27,27 +27,36 @@ EXIT_VALIDATION = 2
 EXIT_UNSOUND = 3
 
 
-def state_to_document(state: AbstractState, mode: AnalysisMode,
-                      trace: list[TraceStep] | None = None) -> dict:
-    """Serialize an analysis result; blocks and members sorted ascending."""
-    doc = {
-        "qubits": state.n,
-        "mode": mode.value,
+def _state_fields(state: AbstractState) -> dict:
+    """A state's labels and blocks as JSON values; blocks and members sorted."""
+    return {
         "labels": [label.value for label in state.labels],
         "separability": state.sep.blocks(),
         "levels": state.lvl.blocks(),
     }
+
+
+def _blocks_text(blocks: list[list[int]]) -> str:
+    return " ".join("{" + ",".join(str(q) for q in block) + "}" for block in blocks)
+
+
+def _state_text(state: AbstractState) -> list[str]:
+    """The text lines of a state: _state_fields, rendered."""
+    fields = _state_fields(state)
+    return [
+        "labels: " + " ".join(fields["labels"]),
+        "separability: " + _blocks_text(fields["separability"]),
+        "levels: " + _blocks_text(fields["levels"]),
+    ]
+
+
+def state_to_document(state: AbstractState, mode: AnalysisMode,
+                      trace: list[TraceStep] | None = None) -> dict:
+    """Serialize an analysis result; blocks and members sorted ascending."""
+    doc = {"qubits": state.n, "mode": mode.value, **_state_fields(state)}
     if trace is not None:
-        doc["trace"] = [
-            {
-                "gate": step.gate.value,
-                "index": step.index,
-                "labels": [label.value for label in step.state.labels],
-                "separability": step.state.sep.blocks(),
-                "levels": step.state.lvl.blocks(),
-            }
-            for step in trace
-        ]
+        doc["trace"] = [{"gate": step.gate.value, "index": step.index, **_state_fields(step.state)}
+                        for step in trace]
     return doc
 
 
@@ -61,26 +70,11 @@ def document_to_state(doc: dict) -> AbstractState:
     )
 
 
-def _blocks_text(blocks: list[list[int]]) -> str:
-    return " ".join("{" + ",".join(str(q) for q in block) + "}" for block in blocks)
-
-
-def _state_line(state: AbstractState) -> str:
-    return (f"labels: {' '.join(label.value for label in state.labels)} | "
-            f"separability: {_blocks_text(state.sep.blocks())} | "
-            f"levels: {_blocks_text(state.lvl.blocks())}")
-
-
 def _print_text(state: AbstractState, mode: AnalysisMode,
                 trace: list[TraceStep] | None) -> None:
-    print(f"qubits: {state.n}")
-    print(f"mode: {mode.value}")
-    print(f"labels: {' '.join(label.value for label in state.labels)}")
-    print(f"separability: {_blocks_text(state.sep.blocks())}")
-    print(f"levels: {_blocks_text(state.lvl.blocks())}")
-    if trace is not None:
-        for k, step in enumerate(trace):
-            print(f"step {k + 1}: {step.gate.value}@{step.index} -> {_state_line(step.state)}")
+    print("\n".join([f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state)]))
+    for k, step in enumerate(trace or (), 1):
+        print(f"step {k}: {step.gate.value}@{step.index} -> " + " | ".join(_state_text(step.state)))
 
 
 def _soundness_doc(report: SoundnessReport) -> dict:
@@ -92,12 +86,25 @@ def _soundness_doc(report: SoundnessReport) -> dict:
     }
 
 
+def _decode(data: bytes) -> str:
+    # UTF-8 with universal newlines, as a text-mode read decodes it
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
+        return None, EXIT_PARSE
+    try:
+        text = _decode(data)
+    except UnicodeDecodeError as err:
+        head = _decode(data[:err.start])  # the valid prefix
+        line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+        print(f"error: {path}:{line}:{column}: not UTF-8: {err.reason} "
+              f"(byte 0x{data[err.start]:02x})", file=sys.stderr)
         return None, EXIT_PARSE
     try:
         circuit = parse_circuit(text)
@@ -164,8 +171,8 @@ def _cmd_compare(args) -> int:
         if without.sep.same_block(i, j) and not with_levels.sep.same_block(i, j)
     ]
     print(f"qubits: {with_levels.n}")
-    print(f"levels:    {_state_line(with_levels)}")
-    print(f"no-levels: {_state_line(without)}")
+    print("levels:    " + " | ".join(_state_text(with_levels)))
+    print("no-levels: " + " | ".join(_state_text(without)))
     if delta:
         print("more precise on: " + " ".join(f"({i},{j})" for i, j in delta))
     else:

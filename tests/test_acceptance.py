@@ -216,10 +216,14 @@ def _benchmark_circuit(n: int, columns: int, seed: int = 0):
 
 def test_c7_linear_scaling():
     def timed(columns):
+        # best of 3, so a burst of host load does not decide a ratio
         circuit = _benchmark_circuit(256, columns)
-        start = time.perf_counter()
-        analyze(circuit)
-        return time.perf_counter() - start
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            analyze(circuit)
+            best = min(best, time.perf_counter() - start)
+        return best
 
     times = {cols: timed(cols) for cols in (1250, 2500, 5000, 10000)}
     ratios = [times[2 * c] / times[c] for c in (1250, 2500, 5000)]

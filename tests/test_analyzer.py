@@ -330,10 +330,11 @@ class TestTrace:
         steps[2].state.labels[0] = S
         assert steps[0].state.labels == [D, S]
 
-    def test_final_state_matches_last_snapshot(self):
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_final_state_matches_last_snapshot(self, mode):
         rng = random.Random(47)
         for _ in range(50):
             c = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 8))
-            final, steps = analyze_traced(c)
+            final, steps = analyze_traced(c, mode)
             assert state_row(final) == state_row(steps[-1].state)
-            assert state_row(final) == state_row(analyze(c))
+            assert state_row(final) == state_row(analyze(c, mode))

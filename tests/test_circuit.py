@@ -245,3 +245,35 @@ class TestIterGates:
             deep = Seq(deep, X)
         assert validate(deep) == 1
         assert sum(1 for _ in iter_gates(deep)) == 5001
+
+
+class TestDeepInputs:
+    """Parser and unparse have no recursion-depth limit. Trees are compared
+    by gate order and height, since dataclass == recurses."""
+
+    def test_deeply_nested_parentheses(self):
+        depth = 10**5
+        assert parse_circuit("(" * depth + "H" + ")" * depth) is H
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit("(" * depth + "H")
+        assert err.value.message == (f"unbalanced parenthesis opened at 1:{depth} "
+                                     "(unexpected end of input)")
+
+    def test_right_nested_sequence_round_trips(self):
+        depth = 10**4
+        text = "X oo (" * (depth - 1) + "X oo H" + ")" * (depth - 1)
+        tree = parse_circuit(text)
+        assert validate(tree) == 1
+        assert [(g.kind, q) for g, q in iter_gates(tree)] == [(GateKind.X, 0)] * depth + [(GateKind.H, 0)]
+        assert unparse(tree) == text
+
+    def test_left_deep_seq_round_trips(self):
+        columns = 10**4
+        tree = Tensor(H, CX)
+        for k in range(columns - 1):
+            tree = Seq(tree, Tensor(CX, Z) if k % 2 else Tensor(X, Tensor(I, H)))
+        text = unparse(tree)
+        back = parse_circuit(text)
+        assert back.height == tree.height == 3
+        assert list(iter_gates(back)) == list(iter_gates(tree))
+        assert unparse(back) == text

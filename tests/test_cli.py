@@ -129,6 +129,22 @@ class TestAnalyze:
         assert code == 2
         assert "different heights" in err
 
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.qc"
+        path.write_bytes(b"H oo\r\nH # caf\xe9")
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}:2:8: not UTF-8")
+        assert "0xe9" in err
+
+    def test_deeply_nested_parentheses(self, qc, capsys):
+        depth = 10**5
+        code, out, err = run(capsys, ["analyze", qc("(" * depth + "H" + ")" * depth)])
+        assert code == 0
+        assert "labels: d" in out
+        assert err == ""
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, ["analyze", "/nonexistent/nowhere.qc"])
         assert code == 1
