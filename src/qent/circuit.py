@@ -7,7 +7,10 @@ and two infix operators:
     oo   sequence (run circuits one after another on the same wires)
 
 `**` binds tighter than `oo`; both are left-associative; parentheses
-override. `#` starts a comment that runs to the end of the line.
+override. `#` starts a comment that runs to the end of the line. A word
+(gate name or `oo`) is a letter followed by letters or digits, and any
+Unicode whitespace separates tokens. The command line drops a leading UTF-8
+byte-order mark from a file before parsing it.
 
 The height of a circuit is the number of wires it spans. Single-qubit
 gates have height 1, SW and CX height 2, a tensor stacks heights, and a
@@ -19,8 +22,10 @@ directly below, i + 1 (use SW chains to reach other layouts).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterator, Union
 
 
@@ -107,58 +112,18 @@ class ValidationError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+# One match per token: `**`, a parenthesis, a word (a letter, then letters or
+# digits), or any other non-space character, which is always an error. A
+# comment matches with the group empty and is dropped; whitespace never matches.
+_TOKEN = re.compile(r"#.*|(\*\*|[()]|[^\W\d_][^\W_]*|\S)")
+_KNOWN = {*GATES, "oo", "**", "(", ")"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == "*":
-            if i + 1 < n and text[i + 1] == "*":
-                tokens.append(_Token("**", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise CircuitSyntaxError("expected '**' (single '*' is not an operator)", line, start_col)
-        if c in "()":
-            tokens.append(_Token(c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            if word != "oo" and word not in GATES:
-                raise CircuitSyntaxError(f"unknown token {word!r}", line, start_col)
-            tokens.append(_Token(word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise CircuitSyntaxError(f"unexpected character {c!r}", line, start_col)
-    return tokens
+def _position(text: str, k: int) -> tuple[int, int]:
+    """1-based line and column of the k-th token of text, or of its end."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m.group(1))
+    pos = next(islice(starts, k, None), len(text))
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def parse_circuit(text: str) -> CircuitAst:
@@ -166,48 +131,63 @@ def parse_circuit(text: str) -> CircuitAst:
 
     Raises CircuitSyntaxError (with line/column) on unknown tokens,
     dangling operators, or unbalanced parentheses. Does not check
-    well-formedness; see validate().
+    well-formedness; see validate(). A lexical error anywhere in the text
+    is reported before any parse error.
 
     The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
     atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
     an explicit stack holding, per open "(", the enclosing sequence and
     tensor built so far, so nesting depth is unbounded.
     """
-    lines = text.split("\n")
-    end = _Token("", len(lines), len(lines[-1]) + 1)  # end-of-input sentinel
-    tokens = iter(_tokenize(text) + [end])
+    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    if not _KNOWN.issuperset(tokens):
+        k, word = next((k, tok) for k, tok in enumerate(tokens) if tok not in _KNOWN)
+        c = word[0]  # a regex word may start with a non-letter such as '²'
+        if c == "*":
+            message = "expected '**' (single '*' is not an operator)"
+        elif c.isalpha():
+            message = f"unknown token {word!r}"
+        else:
+            message = f"unexpected character {c!r}"
+        raise CircuitSyntaxError(message, *_position(text, k))
+    tokens.append("")  # end of input
 
-    def error(message: str, tok: _Token) -> CircuitSyntaxError:
-        found = " (unexpected end of input)" if tok is end else f", found {tok.text!r}"
-        return CircuitSyntaxError(message + found, tok.line, tok.column)
+    def error(message: str, k: int) -> CircuitSyntaxError:
+        tok = tokens[k]
+        found = f", found {tok!r}" if tok else " (unexpected end of input)"
+        return CircuitSyntaxError(message + found, *_position(text, k))
 
-    frames: list[tuple[CircuitAst | None, CircuitAst | None, _Token]] = []
+    frames: list[tuple[CircuitAst | None, CircuitAst | None, int]] = []
     seq = tensor = None
+    k = -1
     while True:
-        tok = next(tokens)
-        if tok.text == "(":
-            frames.append((seq, tensor, tok))
+        k += 1
+        tok = tokens[k]
+        if tok == "(":
+            frames.append((seq, tensor, k))
             seq = tensor = None
             continue
-        if tok.text not in GATES:
-            raise error("expected gate or '('", tok)
-        node = GATES[tok.text]
+        if tok not in GATES:
+            raise error("expected gate or '('", k)
+        node = GATES[tok]
         while True:  # fold the finished atom `node` into the open tensor and sequence
             tensor = node if tensor is None else Tensor(tensor, node)
-            tok = next(tokens)
-            if tok.text == "**":
+            k += 1
+            tok = tokens[k]
+            if tok == "**":
                 break
             seq = tensor if seq is None else Seq(seq, tensor)
             tensor = None
-            if tok.text == "oo":
+            if tok == "oo":
                 break
             if not frames:
-                if tok is not end:
-                    raise error("expected operator or end of input", tok)
+                if tok:
+                    raise error("expected operator or end of input", k)
                 return seq
             node, (seq, tensor, opening) = seq, frames.pop()
-            if tok.text != ")":
-                raise error(f"unbalanced parenthesis opened at {opening.line}:{opening.column}", tok)
+            if tok != ")":
+                line, column = _position(text, opening)
+                raise error(f"unbalanced parenthesis opened at {line}:{column}", k)
 
 
 def height(circuit: CircuitAst) -> int:

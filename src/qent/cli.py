@@ -98,6 +98,9 @@ def _load(path: str):
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None, EXIT_PARSE
+    # strip the byte-order mark here, not with the utf-8-sig codec, whose
+    # err.start would count from after it and index the wrong byte below
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         text = _decode(data)
     except UnicodeDecodeError as err:
@@ -165,11 +168,13 @@ def _cmd_compare(args) -> int:
         return status
     with_levels = analyze(circuit, AnalysisMode.LEVELS)
     without = analyze(circuit, AnalysisMode.NO_LEVELS)
-    delta = [
+    # blocks() come in order of their least member, so pairs need sorting
+    delta = sorted(
         (i, j)
-        for i, j in combinations(range(with_levels.n), 2)
-        if without.sep.same_block(i, j) and not with_levels.sep.same_block(i, j)
-    ]
+        for block in without.sep.blocks()
+        for i, j in combinations(block, 2)
+        if not with_levels.sep.same_block(i, j)
+    )
     print(f"qubits: {with_levels.n}")
     print("levels:    " + " | ".join(_state_text(with_levels)))
     print("no-levels: " + " | ".join(_state_text(without)))

@@ -108,6 +108,25 @@ class TestParse:
             parse_circuit("H I")
 
 
+class TestLexer:
+    @pytest.mark.parametrize("text, expected", [
+        ("H²", (1, 1, "unknown token 'H²'")),
+        ("²H", (1, 1, "unexpected character '²'")),  # '²' starts a regex word but is no letter
+        ("***", (1, 3, "expected '**' (single '*' is not an operator)")),
+        ("H H foo", (1, 5, "unknown token 'foo'")),  # beats the parse error at 1:3
+        ("H\u00a0**\x0cX", Tensor(H, X)),
+        ("H\u2028Q", (1, 3, "unknown token 'Q'")),  # a line separator is one column
+        ("H oo # c", (1, 9, "expected gate or '(' (unexpected end of input)")),
+    ])
+    def test_edge_cases(self, text, expected):
+        if not isinstance(expected, tuple):
+            assert parse_circuit(text) == expected
+            return
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.column, err.value.message) == expected
+
+
 class TestHeight:
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_gate_heights(self, kind):

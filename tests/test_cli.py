@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
-from qent.circuit import parse_circuit
+from qent.circuit import parse_circuit, unparse
 from qent.cli import document_to_state, main, state_to_document
-from helpers import state_row
+from helpers import random_circuit, state_row
 
 
 @pytest.fixture
@@ -138,6 +140,23 @@ class TestAnalyze:
         assert err.startswith(f"error: {path}:2:8: not UTF-8")
         assert "0xe9" in err
 
+    @pytest.mark.parametrize("text", [b"H ** I oo CX", b"H **\nQQ"])
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, text):
+        path = tmp_path / "circuit.qc"
+        path.write_bytes(text)
+        plain = run(capsys, ["analyze", str(path)])
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert run(capsys, ["analyze", str(path)]) == plain
+
+    def test_byte_order_mark_then_non_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bom.qc"
+        path.write_bytes(b"\xef\xbb\xbfH \xe9")
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}:1:3: not UTF-8")
+        assert "0xe9" in err
+
     def test_deeply_nested_parentheses(self, qc, capsys):
         depth = 10**5
         code, out, err = run(capsys, ["analyze", qc("(" * depth + "H" + ")" * depth)])
@@ -176,6 +195,31 @@ class TestCompare:
         assert code == 0
         assert "more precise on: (none)" in out
 
+    def test_delta_sorted_across_blocks(self, qc, capsys):
+        # no-levels blocks {0,3,4} {1,2}: block order would list (3,4) before (1,2)
+        text = """H ** I ** I ** H ** I
+        oo I ** I ** I ** CX oo I ** I ** I ** CX
+        oo I ** H ** I ** I ** I oo I ** CX ** I ** I oo I ** CX ** I ** I
+        oo SW ** I ** I ** I oo I ** SW ** I ** I
+        oo I ** I ** CX ** I
+        oo I ** SW ** I ** I oo SW ** I ** I ** I"""
+        code, out, _ = run(capsys, ["compare", qc(text)])
+        assert code == 0
+        assert "separability: {0,3,4} {1,2} |" in out
+        assert out.splitlines()[-1] == "more precise on: (0,4) (1,2) (3,4)"
+
+    def test_delta_matches_all_pairs_definition(self, qc, capsys):
+        rng = random.Random(71)
+        for _ in range(200):
+            circuit = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 6))
+            with_levels = analyze(circuit, AnalysisMode.LEVELS)
+            without = analyze(circuit, AnalysisMode.NO_LEVELS)
+            delta = [f"({i},{j})" for i, j in combinations(range(with_levels.n), 2)
+                     if without.sep.same_block(i, j) and not with_levels.sep.same_block(i, j)]
+            code, out, _ = run(capsys, ["compare", qc(unparse(circuit))])
+            assert code == 0
+            assert out.splitlines()[-1] == "more precise on: " + (" ".join(delta) or "(none)")
+
     def test_propagates_parse_errors(self, qc, capsys):
         code, _, err = run(capsys, ["compare", qc("H ** ")])
         assert code == 1
@@ -183,6 +227,32 @@ class TestCompare:
     def test_propagates_validation_errors(self, qc, capsys):
         code, _, err = run(capsys, ["compare", qc("H oo CX")])
         assert code == 2
+
+
+class TestRobustness:
+    PIECES = [b"H", b"X", b"T", b"SW", b"CX", b"oo", b"**", b"(", b")", b"#", b" ", b"\n",
+              b"\xef\xbb\xbf", b"\xe9", b"\x00", b"\r", b"\r\n", b"*"]
+    ARGVS = [["analyze"], ["analyze", "--format", "json", "--trace"],
+             ["analyze", "--check-oracle"], ["compare"]]
+
+    def fuzz_input(self, rng):
+        """Random pieces, or a random circuit's text with pieces spliced in."""
+        if rng.random() < 0.5:
+            return rng.choice([b"", b" "]).join(rng.choices(self.PIECES, k=rng.randint(0, 10)))
+        data = unparse(random_circuit(rng, rng.randint(1, 6), rng.randint(1, 4))).encode()
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randint(0, len(data))
+            data = data[:k] + rng.choice(self.PIECES) + data[k:]
+        return data
+
+    def test_no_traceback_on_random_bytes(self, tmp_path, capsys):
+        rng = random.Random(73)
+        path = tmp_path / "fuzz.qc"
+        for _ in range(300):
+            path.write_bytes(self.fuzz_input(rng))
+            for argv in self.ARGVS:
+                code, _, _ = run(capsys, [argv[0], str(path), *argv[1:]])
+                assert code in (0, 1, 2, 3)
 
 
 class TestDocumentHelpers:
@@ -193,10 +263,6 @@ class TestDocumentHelpers:
         assert all(block == sorted(block) for block in doc["separability"])
 
     def test_document_state_round_trip(self):
-        import random
-
-        from helpers import random_circuit
-
         rng = random.Random(67)
         for _ in range(100):
             c = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 10))
