@@ -28,7 +28,9 @@ dispatch through the table. Three rule modes are selectable:
   analysis claim an entangled qubit is separable.
 
 Cost per gate is O(1) for labels plus O(n) for a partition update, so a
-full analysis is O(n * m) for n qubits and m gates.
+full analysis is O(n * m) for n qubits and m gates. A trace copies the
+state only at the gates that change it, so it adds O(n) per change and
+O(1) per no-op step.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ class AnalysisMode(Enum):
 
 @dataclass
 class TraceStep:
-    """Snapshot taken after one gate application."""
+    """The state after one gate application.
+
+    A step whose gate left the state unchanged shares the previous step's
+    snapshot object, so snapshots are read-only.
+    """
 
     gate: GateKind
     index: int
@@ -160,12 +166,20 @@ def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> Ab
 def analyze_traced(circuit: CircuitAst,
                    mode: AnalysisMode = AnalysisMode.LEVELS,
                    ) -> tuple[AbstractState, list[TraceStep]]:
-    """Like analyze(), also returning a deep-copied snapshot per gate."""
+    """Like analyze(), also returning one TraceStep per gate.
+
+    The state is copied only after a gate that changed it; a step whose
+    state did not change shares the previous step's read-only snapshot.
+    """
     st = init_state(validate(circuit))
+    snap = st.copy()
     steps: list[TraceStep] = []
     for gate, index in iter_gates(circuit):
         rule = _RULES.get(gate.kind)
         if rule is not None:
             rule(st, index, mode)
-        steps.append(TraceStep(gate.kind, index, st.copy()))
+            # by value: SW of two singletons rebuilds an equal partition
+            if st != snap:
+                snap = st.copy()
+        steps.append(TraceStep(gate.kind, index, snap))
     return st, steps

@@ -5,8 +5,9 @@
     qent compare FILE
 
 Exit codes: 0 success, 1 parse error, 2 validation error (or oracle qubit
-limit exceeded), 3 soundness violation. Diagnostics go to stderr; results
-to stdout. Output is deterministic for a given input file and flags.
+limit exceeded, or too little memory for the oracle), 3 soundness
+violation. Diagnostics go to stderr; results to stdout. Output is
+deterministic for a given input file and flags.
 """
 
 from __future__ import annotations
@@ -72,9 +73,31 @@ def document_to_state(doc: dict) -> AbstractState:
 
 def _print_text(state: AbstractState, mode: AnalysisMode,
                 trace: list[TraceStep] | None) -> None:
-    print("\n".join([f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state)]))
+    lines = [f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state)]
+    snap = text = None
     for k, step in enumerate(trace or (), 1):
-        print(f"step {k}: {step.gate.value}@{step.index} -> " + " | ".join(_state_text(step.state)))
+        if step.state is not snap:  # steps that change nothing share a snapshot
+            snap, text = step.state, " | ".join(_state_text(step.state))
+        lines.append(f"step {k}: {step.gate.value}@{step.index} -> {text}")
+    print("\n".join(lines))
+
+
+def _splice_trace(text: str, trace: list[TraceStep]) -> str:
+    """Put the trace entries into the indent=2 JSON text of a document
+    whose trace is empty, as json.dumps of the whole document writes them.
+
+    Each distinct snapshot's fields are encoded once and re-indented from
+    the top level (2 spaces) to the depth of a trace entry (6 spaces)."""
+    entries = []
+    snap = body = None
+    for step in trace:
+        if step.state is not snap:
+            snap = step.state
+            body = json.dumps(_state_fields(snap), indent=2)[1:-2].replace("\n", "\n    ")
+        entries.append(f'    {{\n      "gate": "{step.gate.value}",\n'
+                       f'      "index": {step.index},{body}\n    }}')
+    head, _, tail = text.partition('\n  "trace": []')
+    return head + '\n  "trace": [\n' + ",\n".join(entries) + "\n  ]" + tail
 
 
 def _soundness_doc(report: SoundnessReport) -> dict:
@@ -137,16 +160,22 @@ def _cmd_analyze(args) -> int:
     if args.check_oracle:
         try:
             exact = simulate(circuit, max_qubits=args.max_oracle_qubits)
+            report = check_soundness(state, exact, max_qubits=args.max_oracle_qubits)
         except QubitLimitError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_VALIDATION
-        report = check_soundness(state, exact, max_qubits=args.max_oracle_qubits)
+        except MemoryError:
+            print(f"error: {state.n} qubits: not enough memory for the exact oracle",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
 
     if args.format == "json":
-        doc = state_to_document(state, mode, trace)
+        # the trace entries are spliced into the text, one encoding per snapshot
+        doc = state_to_document(state, mode, None if trace is None else [])
         if report is not None:
             doc["soundness"] = _soundness_doc(report)
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
+        print(_splice_trace(text, trace) if trace else text)
     else:
         _print_text(state, mode, trace)
         if report is not None:

@@ -225,7 +225,8 @@ def basis_oracle(state: DenseState, qubit: int, eps: float = DEFAULT_EPS,
         vec = state.amps
     else:
         m = _bipartition_matrix(state, (qubit,))
-        u, sv, _ = np.linalg.svd(m)
+        # reduced SVD: the 2^(n-1) x 2^(n-1) right factor is never read
+        u, sv, _ = np.linalg.svd(m, full_matrices=False)
         if sv[1] >= eps:
             return ConcreteBasis.NEITHER
         vec = u[:, 0]

@@ -331,6 +331,24 @@ class TestTrace:
         assert steps[0].state.labels == [D, S]
 
     @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_unchanged_steps_share_snapshots(self, mode):
+        rng = random.Random(53)
+        for _ in range(100):
+            c = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 10))
+            _, steps = analyze_traced(c, mode)
+            n = steps[0].state.n
+            rows = [state_row(step.state) for step in steps]
+            prefix = None
+            for k, step in enumerate(steps):
+                column = pad_at(Gate(step.gate), step.index, n)
+                prefix = column if prefix is None else Seq(prefix, column)
+                assert rows[k] == state_row(analyze(prefix, mode))
+                if k:
+                    assert (step.state is steps[k - 1].state) == (rows[k] == rows[k - 1])
+            changes = sum(rows[k] != rows[k - 1] for k in range(1, len(rows)))
+            assert len({id(step.state) for step in steps}) == 1 + changes
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
     def test_final_state_matches_last_snapshot(self, mode):
         rng = random.Random(47)
         for _ in range(50):

@@ -10,7 +10,8 @@ import pytest
 
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
 from qent.circuit import parse_circuit, unparse
-from qent.cli import document_to_state, main, state_to_document
+from qent.cli import _soundness_doc, _state_text, document_to_state, main, state_to_document
+from qent.oracle import check_soundness, simulate
 from helpers import random_circuit, state_row
 
 
@@ -120,6 +121,17 @@ class TestAnalyze:
         assert code == 2
         assert "exceeds" in err
 
+    def test_check_oracle_out_of_memory_exits_2(self, qc, capsys, monkeypatch):
+        def out_of_memory(circuit, max_qubits):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr("qent.cli.simulate", out_of_memory)
+        code, out, err = run(capsys, ["analyze", qc(" ** ".join(["I"] * 30)),
+                                      "--check-oracle", "--max-oracle-qubits", "30"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: 30 qubits: not enough memory for the exact oracle\n"
+
     def test_parse_error_exit_1(self, qc, capsys):
         code, out, err = run(capsys, ["analyze", qc("H **")])
         assert code == 1
@@ -177,6 +189,39 @@ class TestAnalyze:
                 code, out, _ = run(capsys, ["analyze", path, "--format", fmt, "--trace"])
                 runs.add((fmt, out))
         assert len(runs) == 2  # one distinct output per format
+
+
+class TestTraceWriters:
+    """--trace output against the reference: the document dumped whole, and
+    one step line per gate built from _state_text."""
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_equal_to_reference(self, qc, capsys, mode, check):
+        rng = random.Random(79)
+        extra = ["--check-oracle"] if check else []
+        for _ in range(200):
+            circuit = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 12))
+            path = qc(unparse(circuit))
+            final, steps = analyze_traced(circuit, mode)
+            doc = state_to_document(final, mode, steps)
+            if check:
+                doc["soundness"] = _soundness_doc(check_soundness(final, simulate(circuit)))
+            code, out, _ = run(capsys, ["analyze", path, "--mode", mode.value, "--format", "json",
+                                        "--trace", *extra])
+            assert code in (0, 3)
+            assert out == json.dumps(doc, indent=2) + "\n"
+
+            lines = [f"qubits: {final.n}", f"mode: {mode.value}", *_state_text(final)]
+            lines += [f"step {k}: {step.gate.value}@{step.index} -> "
+                      + " | ".join(_state_text(step.state)) for k, step in enumerate(steps, 1)]
+            code, out, _ = run(capsys, ["analyze", path, "--mode", mode.value, "--trace", *extra])
+            assert code in (0, 3)
+            if check:
+                head, _, tail = out.partition("\nsoundness: ")
+                assert head == "\n".join(lines) and tail
+            else:
+                assert out == "\n".join(lines) + "\n"
 
 
 class TestCompare:
