@@ -153,7 +153,7 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
 
 
 def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
-    """Run the analysis over a validated circuit from the all-|0> state."""
+    """Run the analysis over a circuit from the all-|0> state."""
     st = init_state(validate(circuit))
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
@@ -178,7 +178,7 @@ def analyze_traced(circuit: CircuitAst,
         rule = _RULES.get(gate.kind)
         if rule is not None:
             rule(st, index, mode)
-            # by value: SW of two singletons rebuilds an equal partition
+            # by value, as the rules mutate labels in place
             if st != snap:
                 snap = st.copy()
         steps.append(TraceStep(gate.kind, index, snap))

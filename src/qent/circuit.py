@@ -1,4 +1,4 @@
-"""Circuit language: syntax tree, parser, heights, and well-formedness.
+"""Circuit language: syntax tree, parser, and heights.
 
 A circuit is an expression over the gate alphabet I, X, Y, Z, H, T, SW, CX
 and two infix operators:
@@ -15,9 +15,11 @@ byte-order mark from a file before parsing it.
 The height of a circuit is the number of wires it spans. Single-qubit
 gates have height 1, SW and CX height 2, a tensor stacks heights, and a
 sequence keeps the height of its left operand. A circuit is well formed
-when both sides of every `oo` span the same wires. CX at base wire i
-always has its control on the upper wire i and its target on the wire
-directly below, i + 1 (use SW chains to reach other layouts).
+when both sides of every `oo` span the same wires, and only well-formed
+trees exist: Seq raises ValidationError when its operands' heights differ,
+and parse_circuit reports that at the `oo` token's line and column. CX at
+base wire i always has its control on the upper wire i and its target on
+the wire directly below, i + 1 (use SW chains to reach other layouts).
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ class Seq:
     height: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "height", self.left.height)
+        h = self.left.height
+        if h != self.right.height:
+            raise ValidationError(h, self.right.height)
+        object.__setattr__(self, "height", h)
 
 
 CircuitAst = Union[Gate, Tensor, Seq]
@@ -99,17 +104,22 @@ class CircuitSyntaxError(Exception):
 
 
 class ValidationError(Exception):
-    """Raised when a sequence node composes circuits of different heights."""
+    """Raised when a sequence composes circuits of different heights.
 
-    def __init__(self, node: Seq, path: str):
-        self.node = node
-        self.path = path
-        self.left_height = node.left.height
-        self.right_height = node.right.height
-        super().__init__(
-            f"sequence at {path} composes circuits of different heights "
-            f"({self.left_height} vs {self.right_height})"
-        )
+    Seq raises it when it is built, so no ill-formed tree exists. Raised by
+    parse_circuit it also carries the 1-based line/column of the `oo`
+    token; raised by Seq directly, line and column are None.
+    """
+
+    def __init__(self, left_height: int, right_height: int,
+                 line: int | None = None, column: int | None = None):
+        self.message = (f"sequence composes circuits of different heights "
+                        f"({left_height} vs {right_height})")
+        super().__init__(self.message if line is None else f"{line}:{column}: {self.message}")
+        self.left_height = left_height
+        self.right_height = right_height
+        self.line = line
+        self.column = column
 
 
 # One match per token: `**`, a parenthesis, a word (a letter, then letters or
@@ -130,14 +140,19 @@ def parse_circuit(text: str) -> CircuitAst:
     """Parse circuit text into a syntax tree.
 
     Raises CircuitSyntaxError (with line/column) on unknown tokens,
-    dangling operators, or unbalanced parentheses. Does not check
-    well-formedness; see validate(). A lexical error anywhere in the text
-    is reported before any parse error.
+    dangling operators, or unbalanced parentheses, and ValidationError
+    (with the line/column of the `oo`) on a sequence whose operands span
+    different numbers of wires. Errors come in this order: a lexical error
+    anywhere in the text first; then the first syntax error or height
+    mismatch in the order the parser meets them, where a mismatch is met
+    once its right operand is complete. So `H oo CX oo` is a mismatch at
+    1:3, not an unexpected end of input.
 
     The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
     atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
     an explicit stack holding, per open "(", the enclosing sequence and
-    tensor built so far, so nesting depth is unbounded.
+    tensor built so far and the enclosing level's last `oo`, so nesting
+    depth is unbounded.
     """
     tokens = [tok for tok in _TOKEN.findall(text) if tok]
     if not _KNOWN.issuperset(tokens):
@@ -157,14 +172,15 @@ def parse_circuit(text: str) -> CircuitAst:
         found = f", found {tok!r}" if tok else " (unexpected end of input)"
         return CircuitSyntaxError(message + found, *_position(text, k))
 
-    frames: list[tuple[CircuitAst | None, CircuitAst | None, int]] = []
+    frames: list[tuple[CircuitAst | None, CircuitAst | None, int, int]] = []
     seq = tensor = None
+    oo = -1  # token index of the last `oo` at this nesting level
     k = -1
     while True:
         k += 1
         tok = tokens[k]
         if tok == "(":
-            frames.append((seq, tensor, k))
+            frames.append((seq, tensor, oo, k))
             seq = tensor = None
             continue
         if tok not in GATES:
@@ -176,15 +192,20 @@ def parse_circuit(text: str) -> CircuitAst:
             tok = tokens[k]
             if tok == "**":
                 break
-            seq = tensor if seq is None else Seq(seq, tensor)
+            try:
+                seq = tensor if seq is None else Seq(seq, tensor)
+            except ValidationError as err:
+                line, column = _position(text, oo)
+                raise ValidationError(err.left_height, err.right_height, line, column) from None
             tensor = None
             if tok == "oo":
+                oo = k
                 break
             if not frames:
                 if tok:
                     raise error("expected operator or end of input", k)
                 return seq
-            node, (seq, tensor, opening) = seq, frames.pop()
+            node, (seq, tensor, oo, opening) = seq, frames.pop()
             if tok != ")":
                 line, column = _position(text, opening)
                 raise error(f"unbalanced parenthesis opened at {line}:{column}", k)
@@ -196,31 +217,7 @@ def height(circuit: CircuitAst) -> int:
 
 
 def validate(circuit: CircuitAst) -> int:
-    """Check well-formedness and return the qubit count.
-
-    Every Seq node must compose children of equal height. On failure the
-    ValidationError names the first offending node in leftmost-deepest
-    order. Shared subtrees are checked once.
-    """
-    seen: set[int] = set()
-    # paths are linked (parent, step) tuples, materialized only on error
-    stack: list[tuple[CircuitAst, tuple | None, bool]] = [(circuit, None, False)]
-    while stack:
-        nd, pth, children_done = stack.pop()
-        if type(nd) is Gate or id(nd) in seen:
-            continue
-        if children_done:
-            seen.add(id(nd))
-            if type(nd) is Seq and nd.left.height != nd.right.height:
-                steps = []
-                while pth is not None:
-                    pth, step = pth
-                    steps.append(step)
-                raise ValidationError(nd, ".".join(["root"] + steps[::-1]))
-            continue
-        stack.append((nd, pth, True))
-        stack.append((nd.right, (pth, "right"), False))
-        stack.append((nd.left, (pth, "left"), False))
+    """The qubit count; O(1), as Seq refuses mismatched heights when built."""
     return circuit.height
 
 

@@ -4,8 +4,9 @@
                       [--format text|json] [--check-oracle] [--max-oracle-qubits N]
     qent compare FILE
 
-Exit codes: 0 success, 1 parse error, 2 validation error (or oracle qubit
-limit exceeded, or too little memory for the oracle), 3 soundness
+Exit codes: 0 success, 1 parse error, 2 validation error (a sequence of
+circuits of different heights, reported at the `oo`'s line:col; or oracle
+qubit limit exceeded, or too little memory for the oracle), 3 soundness
 violation. Diagnostics go to stderr; results to stdout. Output is
 deterministic for a given input file and flags.
 """
@@ -18,7 +19,8 @@ import sys
 from itertools import combinations
 
 from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
-from .circuit import CircuitSyntaxError, ValidationError, parse_circuit, validate
+from .circuit import CircuitSyntaxError, ValidationError, parse_circuit
+from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
 from .oracle import QubitLimitError, SoundnessReport, check_soundness, simulate
 
@@ -82,22 +84,26 @@ def _print_text(state: AbstractState, mode: AnalysisMode,
     print("\n".join(lines))
 
 
-def _splice_trace(text: str, trace: list[TraceStep]) -> str:
-    """Put the trace entries into the indent=2 JSON text of a document
-    whose trace is empty, as json.dumps of the whole document writes them.
+def _print_spliced(text: str, trace: list[TraceStep]) -> None:
+    """Print the indent=2 JSON text of a document whose trace is empty with
+    the trace entries put in, as json.dumps of the whole document writes them.
 
     Each distinct snapshot's fields are encoded once and re-indented from
-    the top level (2 spaces) to the depth of a trace entry (6 spaces)."""
-    entries = []
+    the top level (2 spaces) to the depth of a trace entry (6 spaces). The
+    entries are written one at a time, so the output is never held twice."""
+    head, _, tail = text.partition('\n  "trace": []')
+    write = sys.stdout.write
+    write(head + '\n  "trace": [')
     snap = body = None
+    sep = "\n"
     for step in trace:
         if step.state is not snap:
             snap = step.state
             body = json.dumps(_state_fields(snap), indent=2)[1:-2].replace("\n", "\n    ")
-        entries.append(f'    {{\n      "gate": "{step.gate.value}",\n'
-                       f'      "index": {step.index},{body}\n    }}')
-    head, _, tail = text.partition('\n  "trace": []')
-    return head + '\n  "trace": [\n' + ",\n".join(entries) + "\n  ]" + tail
+        write(f'{sep}    {{\n      "gate": "{step.gate.value}",\n'
+              f'      "index": {step.index},{body}\n    }}')
+        sep = ",\n"
+    write("\n  ]" + tail + "\n")
 
 
 def _soundness_doc(report: SoundnessReport) -> dict:
@@ -134,14 +140,9 @@ def _load(path: str):
         return None, EXIT_PARSE
     try:
         circuit = parse_circuit(text)
-    except CircuitSyntaxError as err:
+    except (CircuitSyntaxError, ValidationError) as err:
         print(f"error: {path}:{err.line}:{err.column}: {err.message}", file=sys.stderr)
-        return None, EXIT_PARSE
-    try:
-        validate(circuit)
-    except ValidationError as err:
-        print(f"error: {path}: {err}", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        return None, EXIT_PARSE if isinstance(err, CircuitSyntaxError) else EXIT_VALIDATION
     return circuit, EXIT_OK
 
 
@@ -175,7 +176,10 @@ def _cmd_analyze(args) -> int:
         if report is not None:
             doc["soundness"] = _soundness_doc(report)
         text = json.dumps(doc, indent=2)
-        print(_splice_trace(text, trace) if trace else text)
+        if trace:
+            _print_spliced(text, trace)
+        else:
+            print(text)
     else:
         _print_text(state, mode, trace)
         if report is not None:

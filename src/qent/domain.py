@@ -122,8 +122,10 @@ class Partition:
         if ri == i:
             try:
                 rep_bi = min(parent.index(i, i + 1), j)
-            except ValueError:
-                rep_bi = j  # i was a singleton
+            except ValueError:  # i is a singleton
+                if rj == j and parent.count(j) == 1:
+                    return self  # and so is j: no block changes
+                rep_bi = j
         else:
             rep_bi = ri  # ri < i < j keeps its place
         # representative of j's old block once j leaves and i joins

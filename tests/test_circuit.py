@@ -1,4 +1,4 @@
-"""Parser, heights, validation, and round-trip tests for the circuit language."""
+"""Parser, heights, well-formedness, and round-trip tests for the circuit language."""
 
 from __future__ import annotations
 
@@ -29,22 +29,57 @@ from qent.circuit import (
 from helpers import ALL_KINDS, random_circuit
 
 
+def parts(node):
+    """(constructor, left, right) of a tree node, or of a shape: a plain
+    tuple that describes a tree, well formed or not, without building it."""
+    return node if isinstance(node, tuple) else (type(node), node.left, node.right)
+
+
 def naive_height(node):
     """Independent recursive height oracle, straight from the definition."""
     if isinstance(node, Gate):
         return 2 if node.kind in (GateKind.SW, GateKind.CX) else 1
-    if isinstance(node, Seq):
-        return naive_height(node.left)
-    return naive_height(node.left) + naive_height(node.right)
+    ctor, left, right = parts(node)
+    if ctor is Seq:
+        return naive_height(left)
+    return naive_height(left) + naive_height(right)
 
 
-def naive_valid(node):
-    if isinstance(node, Gate):
+def naive_valid(shape):
+    if isinstance(shape, Gate):
         return True
-    if isinstance(node, Seq):
-        return (naive_valid(node.left) and naive_valid(node.right)
-                and naive_height(node.left) == naive_height(node.right))
-    return naive_valid(node.left) and naive_valid(node.right)
+    ctor, left, right = shape
+    return (naive_valid(left) and naive_valid(right)
+            and (ctor is Tensor or naive_height(left) == naive_height(right)))
+
+
+def build(shape):
+    if isinstance(shape, Gate):
+        return shape
+    ctor, left, right = shape
+    return ctor(build(left), build(right))
+
+
+def render(shape):
+    """Fully parenthesized one-line text of a shape."""
+    if isinstance(shape, Gate):
+        return shape.kind.value
+    ctor, left, right = shape
+    return f"({render(left)} {'oo' if ctor is Seq else '**'} {render(right)})"
+
+
+def first_mismatch(shape, column=1):
+    """(column of the `oo`, left height, right height) of the first ill-formed
+    Seq that the parser meets in render(shape) placed at `column`: children
+    complete before their parent, so it is the first in post-order."""
+    if isinstance(shape, Gate):
+        return None
+    ctor, left, right = shape
+    oo_column = column + 1 + len(render(left)) + 1
+    found = first_mismatch(left, column + 1) or first_mismatch(right, oo_column + 3)
+    if found is None and ctor is Seq and naive_height(left) != naive_height(right):
+        found = oo_column, naive_height(left), naive_height(right)
+    return found
 
 
 class TestParse:
@@ -159,42 +194,66 @@ class TestValidate:
 
     def test_mismatch(self):
         with pytest.raises(ValidationError) as err:
-            validate(Seq(H, CX))
+            Seq(H, CX)
         assert err.value.left_height == 1
         assert err.value.right_height == 2
+        assert err.value.line is err.value.column is None
+        assert str(err.value) == "sequence composes circuits of different heights (1 vs 2)"
 
-    def test_reports_leftmost_deepest_first(self):
-        inner = Seq(H, CX)  # 1 vs 2
-        outer = Seq(inner, Tensor(X, Z))  # 1 vs 2 as well
+    @pytest.mark.parametrize("text, position, heights", [
+        ("H oo CX", (1, 3), (1, 2)),  # at the first oo
+        ("H oo X oo CX", (1, 8), (1, 2)),  # at a later oo
+        ("H oo CX ** I oo H", (1, 3), (1, 3)),  # ** binds tighter
+        ("H ** (X oo CX)", (1, 9), (1, 2)),  # inside parentheses
+        ("(H ** I)\n  oo H", (2, 3), (2, 1)),  # across lines
+    ], ids=["first-oo", "later-oo", "tensor-binds-tighter", "in-parentheses", "across-lines"])
+    def test_reports_line_col_of_oo(self, text, position, heights):
         with pytest.raises(ValidationError) as err:
-            validate(outer)
-        assert err.value.node is inner
-        assert err.value.path == "root.left"
+            parse_circuit(text)
+        assert (err.value.line, err.value.column) == position
+        assert (err.value.left_height, err.value.right_height) == heights
+        assert str(err.value) == ("%d:%d: sequence composes circuits of different heights "
+                                  "(%d vs %d)" % (position + heights))
+
+    @pytest.mark.parametrize("text, error, position", [
+        ("H oo CX oo", ValidationError, (1, 3)),  # not the unexpected end of input
+        ("H oo CX CX", ValidationError, (1, 3)),  # not the missing operator
+        ("H oo CX )", ValidationError, (1, 3)),  # not the unbalanced ')'
+        ("(H oo X oo CX", ValidationError, (1, 9)),  # not the unclosed '('
+        ("H oo CX **", CircuitSyntaxError, (1, 11)),  # the right operand never completes
+        ("H ** oo I oo CX", CircuitSyntaxError, (1, 6)),  # a syntax error met first
+        ("H oo CX oo Q", CircuitSyntaxError, (1, 12)),  # a lexical error comes first
+    ])
+    def test_error_order(self, text, error, position):
+        with pytest.raises((CircuitSyntaxError, ValidationError)) as err:
+            parse_circuit(text)
+        assert type(err.value) is error
+        assert (err.value.line, err.value.column) == position
 
     def test_exhaustive_small_trees(self):
-        """Every tree over <= 4 leaves validates iff all Seq children agree."""
+        """Every shape over <= 4 leaves builds iff all Seq children agree."""
 
-        def trees(leaves):
+        def shapes(leaves):
             if len(leaves) == 1:
                 yield leaves[0]
                 return
             for cut in range(1, len(leaves)):
-                for left in trees(leaves[:cut]):
-                    for right in trees(leaves[cut:]):
-                        yield Seq(left, right)
-                        yield Tensor(left, right)
+                for left in shapes(leaves[:cut]):
+                    for right in shapes(leaves[cut:]):
+                        yield (Seq, left, right)
+                        yield (Tensor, left, right)
 
         gates = [Gate(k) for k in GateKind]
         checked = 0
         for count in range(1, 5):
             for combo in itertools.product(gates, repeat=count):
-                for tree in trees(list(combo)):
+                for shape in shapes(list(combo)):
                     checked += 1
-                    if naive_valid(tree):
-                        assert validate(tree) == naive_height(tree)
+                    if naive_valid(shape):
+                        assert validate(build(shape)) == naive_height(shape)
                     else:
                         with pytest.raises(ValidationError):
-                            validate(tree)
+                            build(shape)
         assert checked > 100_000
 
 
@@ -213,19 +272,34 @@ class TestRoundTrip:
             assert parse_circuit(unparse(c)) == c
 
     def test_arbitrary_shapes_round_trip(self):
-        """Round trip holds for arbitrary (even ill-formed) trees."""
+        """Well-formed shapes round-trip; ill-formed ones raise at build and,
+        from their text, at parse, at the first mismatch the parser meets."""
         rng = random.Random(4)
         gates = [Gate(k) for k in ALL_KINDS]
 
-        def random_tree(depth):
+        def random_shape(depth):
             if depth == 0 or rng.random() < 0.3:
                 return rng.choice(gates)
             ctor = Seq if rng.random() < 0.5 else Tensor
-            return ctor(random_tree(depth - 1), random_tree(depth - 1))
+            return (ctor, random_shape(depth - 1), random_shape(depth - 1))
 
+        well_formed = 0
         for _ in range(300):
-            c = random_tree(4)
-            assert parse_circuit(unparse(c)) == c
+            shape = random_shape(4)
+            if naive_valid(shape):
+                well_formed += 1
+                c = build(shape)
+                assert parse_circuit(unparse(c)) == c
+                assert parse_circuit(render(shape)) == c
+                continue
+            with pytest.raises(ValidationError):
+                build(shape)
+            with pytest.raises(ValidationError) as err:
+                parse_circuit(render(shape))
+            column, left_height, right_height = first_mismatch(shape)
+            assert (err.value.line, err.value.column) == (1, column)
+            assert (err.value.left_height, err.value.right_height) == (left_height, right_height)
+        assert 50 < well_formed < 250
 
 
 class TestIterGates:

@@ -139,9 +139,19 @@ class TestAnalyze:
         assert "error:" in err
 
     def test_validation_error_exit_2(self, qc, capsys):
-        code, out, err = run(capsys, ["analyze", qc("H oo CX")])
+        path = qc("H oo CX")
+        code, out, err = run(capsys, ["analyze", path])
         assert code == 2
-        assert "different heights" in err
+        assert out == ""
+        assert err == f"error: {path}:1:3: sequence composes circuits of different heights (1 vs 2)\n"
+
+    @pytest.mark.parametrize("text, diagnostic", [
+        ("H ** I\noo X ** X\noo CX oo H", "3:7: sequence composes circuits of different heights (2 vs 1)"),
+        ("H oo CX oo", "1:3: sequence composes circuits of different heights (1 vs 2)"),
+    ], ids=["later-oo-and-line", "before-end-of-input"])
+    def test_validation_error_position(self, qc, capsys, text, diagnostic):
+        path = qc(text)
+        assert run(capsys, ["compare", path]) == (2, "", f"error: {path}:{diagnostic}\n")
 
     def test_non_utf8_file_exit_1(self, tmp_path, capsys):
         path = tmp_path / "latin1.qc"

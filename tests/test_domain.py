@@ -123,6 +123,13 @@ class TestSwap:
         p = Partition((0, 0))
         assert p.swapped(0, 1) == p
 
+    def test_two_singletons_is_identity(self):
+        # no block changes, so no tuple is rebuilt
+        p = Partition.from_blocks([[0], [1, 3], [2], [4]], 5)
+        assert p.swapped(2, 4) is p
+        assert p.swapped(4, 2) is p
+        assert p.swapped(0, 2) is p
+
     def test_asymmetric_block(self):
         # {{0},{1,2}} with wires 0 and 1 exchanged becomes {{1},{0,2}}
         assert Partition((0, 1, 1)).swapped(0, 1) == Partition((0, 1, 0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestLevelsOracle:
     def test_hadamard_breaks_level(self):
         s = apply_single(BELL, GateKind.H, 0)
         assert levels_oracle(s) == set()
+
+    def test_transitive(self):
+        """(i, j) and (j, k) leveled imply (i, k) leveled, on GHZ states of
+        2-12 wires (plain and with random bits flipped, so that some pairs
+        disagree in every substate) and on seeded random circuits of up to
+        8 wires."""
+        rng = random.Random(61)
+        ghz = [dense((b, RT2), (b ^ (2 ** n - 1), RT2), n=n)
+               for n in range(2, 13) for b in (0, rng.randrange(2 ** n))]
+        circuits = [simulate(random_circuit(rng, rng.randint(1, 8), rng.randint(1, 12)))
+                    for _ in range(300)]
+        chained = 0
+        for k, s in enumerate(ghz + circuits):
+            pairs = levels_oracle(s)
+            for (a, b), (c, d) in combinations(pairs, 2):
+                shared = {a, b} & {c, d}
+                if len(shared) == 1:
+                    assert tuple(sorted({a, b, c, d} - shared)) in pairs
+                    chained += k >= len(ghz)
+        for s in ghz:
+            assert levels_oracle(s) == set(combinations(range(s.n), 2))
+        assert chained >= 20  # the random circuits reach chains of levels too
 
 
 class TestBasisOracle:
