@@ -15,7 +15,6 @@ from .circuit import (
     Seq,
     Tensor,
     ValidationError,
-    height,
     iter_gates,
     parse_circuit,
     unparse,
@@ -56,7 +55,6 @@ __all__ = [
     "basis_oracle",
     "check_soundness",
     "finest_separable_partition",
-    "height",
     "init_state",
     "iter_gates",
     "levels_oracle",

@@ -27,10 +27,13 @@ dispatch through the table. Three rule modes are selectable:
   label. Kept for demonstrating (via the oracle) how that rule lets the
   analysis claim an entangled qubit is separable.
 
-Cost per gate is O(1) for labels plus O(n) for a partition update, so a
-full analysis is O(n * m) for n qubits and m gates. A trace copies the
-state only at the gates that change it, so it adds O(n) per change and
-O(1) per no-op step.
+Cost per gate is O(1) for labels. A partition update that changes
+nothing (a join within a block, a split of a singleton, a swap of two
+singletons or within a block) is O(1); one that changes blocks copies the
+n block references once plus the members of the blocks it changes. A full
+analysis is thus at most O(n * m) for n qubits and m gates. A trace
+copies the state only at the gates that change it, so it adds O(n) per
+change and O(1) per no-op step.
 """
 
 from __future__ import annotations

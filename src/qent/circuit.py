@@ -211,11 +211,6 @@ def parse_circuit(text: str) -> CircuitAst:
                 raise error(f"unbalanced parenthesis opened at {line}:{column}", k)
 
 
-def height(circuit: CircuitAst) -> int:
-    """Number of wires the circuit spans (cached on each node)."""
-    return circuit.height
-
-
 def validate(circuit: CircuitAst) -> int:
     """The qubit count; O(1), as Seq refuses mismatched heights when built."""
     return circuit.height

@@ -1,12 +1,14 @@
-"""Abstract domain: per-qubit basis labels and two canonical partitions.
+"""Abstract domain: per-qubit basis labels and two set partitions.
 
 The analysis state is a triple: a basis label per qubit, a partition of
 qubits into possibly-entangled groups, and a partition recording which
-qubits are known to collapse together ("levels"). Partitions are stored
-as integer arrays where entry i is the representative (smallest member)
-of qubit i's block; the array [0, 0, 2, 2, 4] encodes {{0,1}, {2,3}, {4}}.
-Every partition of n qubits has exactly one such canonical array, which
-makes state comparison in tests a plain equality check.
+qubits are known to collapse together ("levels"). A partition is stored
+as one tuple whose entry i is the frozenset block holding qubit i, and
+all members of a block share one frozenset object; {{0,1}, {2,3}, {4}} is
+(b01, b01, b23, b23, b4). Two partitions are equal exactly when their
+tuples are, which makes state comparison in tests a plain equality check.
+The canonical array of representatives, [0, 0, 2, 2, 4] here, is derived
+from the blocks as `parent`.
 """
 
 from __future__ import annotations
@@ -24,134 +26,105 @@ class BasisLabel(Enum):
 
 @dataclass(frozen=True)
 class Partition:
-    """Canonical array encoding of a set partition of {0..n-1}."""
+    """A set partition of {0..n-1}: members[i] is the block holding qubit i.
 
-    parent: tuple[int, ...]
+    All members of a block share one frozenset object. An operation that
+    changes nothing returns self; one that changes blocks copies the tuple
+    of references once and re-points only the members of those blocks.
+    """
+
+    members: tuple[frozenset[int], ...]
 
     @classmethod
     def singletons(cls, n: int) -> Partition:
-        return cls(tuple(range(n)))
+        return cls(tuple(frozenset((i,)) for i in range(n)))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> Partition:
-        raw = [-1] * n
+        members: list[frozenset[int] | None] = [None] * n
         for block in blocks:
-            members = sorted(block)
-            for m in members:
+            listed = sorted(block)  # repeats kept, so a repeat is caught
+            shared = frozenset(listed)
+            for m in listed:
                 if not 0 <= m < n:
                     raise IndexError(f"qubit {m} out of range for n={n}")
-                if raw[m] != -1:
+                if members[m] is not None:
                     raise ValueError(f"qubit {m} appears in more than one block")
-                raw[m] = members[0]
-        if any(v == -1 for v in raw):
-            missing = [i for i, v in enumerate(raw) if v == -1]
+                members[m] = shared
+        if None in members:
+            missing = [i for i, b in enumerate(members) if b is None]
             raise ValueError(f"qubits {missing} missing from blocks")
-        return cls(tuple(raw))
+        return cls(tuple(members))
+
+    @property
+    def parent(self) -> tuple[int, ...]:
+        """The canonical array: entry i is the least member of i's block."""
+        return tuple(min(block) for block in self.members)
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return len(self.members)
 
     def _check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.parent):
-            raise IndexError(f"qubit {i} out of range for n={len(self.parent)}")
+        if not 0 <= i < len(self.members):
+            raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
+
+    def _with(self, *blocks: frozenset[int]) -> Partition:
+        """A copy in which each member of each given block holds that block."""
+        members = list(self.members)
+        for block in blocks:
+            for m in block:
+                members[m] = block
+        return Partition(tuple(members))
 
     def same_block(self, i: int, j: int) -> bool:
         self._check_index(i)
         self._check_index(j)
-        return self.parent[i] == self.parent[j]
+        return j in self.members[i]
 
     def blocks(self) -> list[list[int]]:
-        """Decode to sorted blocks, ordered by representative."""
-        by_rep: dict[int, list[int]] = {}
-        for i, rep in enumerate(self.parent):
-            by_rep.setdefault(rep, []).append(i)
-        return [by_rep[rep] for rep in sorted(by_rep)]
+        """Decode to sorted blocks, ordered by least member."""
+        # qubits are visited in order, so each list fills sorted and the
+        # blocks come at their least member: nothing needs sorting
+        by_block: dict[frozenset[int], list[int]] = {}
+        for i, block in enumerate(self.members):
+            by_block.setdefault(block, []).append(i)
+        return list(by_block.values())
 
     def join(self, i: int, j: int) -> Partition:
-        """Unite the blocks of i and j; the smaller representative survives."""
+        """Unite the blocks of i and j."""
         self._check_index(i)
         self._check_index(j)
-        ri, rj = self.parent[i], self.parent[j]
-        if ri == rj:
+        bi = self.members[i]
+        if j in bi:
             return self
-        lo, hi = (ri, rj) if ri < rj else (rj, ri)
-        return Partition(tuple(lo if v == hi else v for v in self.parent))
-
-    def _relabel(self, raw: list[int], old: int, new: int, skip: int) -> None:
-        # rewrite every entry equal to `old` (except position `skip`) to `new`,
-        # using C-speed index scans; touches only actual block members
-        parent = self.parent
-        k = 0
-        while True:
-            try:
-                k = parent.index(old, k)
-            except ValueError:
-                return
-            if k != skip:
-                raw[k] = new
-            k += 1
+        return self._with(bi | self.members[j])
 
     def split(self, i: int) -> Partition:
         """Move i into its own singleton block."""
         self._check_index(i)
-        rep = self.parent[i]
-        if rep != i:
-            # i is not a representative, so the value i is unused elsewhere
-            raw = list(self.parent)
-            raw[i] = i
-            return Partition(tuple(raw))
-        try:
-            heir = self.parent.index(i, i + 1)
-        except ValueError:
-            return self  # already a singleton
-        raw = list(self.parent)
-        self._relabel(raw, i, heir, skip=i)
-        return Partition(tuple(raw))
+        bi = self.members[i]
+        if len(bi) == 1:
+            return self
+        return self._with(bi - {i}, frozenset((i,)))
 
     def swapped(self, i: int, j: int) -> Partition:
-        """Exchange the block memberships of i and j, re-canonicalized."""
+        """Exchange the block memberships of i and j."""
         self._check_index(i)
         self._check_index(j)
-        if i == j or self.parent[i] == self.parent[j]:
-            return self  # same block: membership sets are unchanged
-        if i > j:
-            i, j = j, i
-        parent = self.parent
-        ri, rj = parent[i], parent[j]
-        # representative of i's old block once i leaves and j joins
-        if ri == i:
-            try:
-                rep_bi = min(parent.index(i, i + 1), j)
-            except ValueError:  # i is a singleton
-                if rj == j and parent.count(j) == 1:
-                    return self  # and so is j: no block changes
-                rep_bi = j
-        else:
-            rep_bi = ri  # ri < i < j keeps its place
-        # representative of j's old block once j leaves and i joins
-        rep_bj = i if rj == j else min(rj, i)
-        raw = list(parent)
-        if rep_bi != ri:
-            self._relabel(raw, ri, rep_bi, skip=i)
-        if rep_bj != rj:
-            self._relabel(raw, rj, rep_bj, skip=j)
-        raw[j] = rep_bi
-        raw[i] = rep_bj
-        return Partition(tuple(raw))
+        bi, bj = self.members[i], self.members[j]
+        if j in bi or len(bi) == len(bj) == 1:
+            return self  # no block changes
+        return self._with(bi - {i} | {j}, bj - {j} | {i})
 
     def validate(self) -> None:
-        """Assert the canonical-form invariants (test/debug aid)."""
-        parent = self.parent
-        first_holder: dict[int, int] = {}
-        for i, rep in enumerate(parent):
-            if not 0 <= rep <= i:
-                raise AssertionError(f"parent[{i}]={rep} not in [0, {i}]")
-            if parent[rep] != rep:
-                raise AssertionError(f"representative {rep} is not a fixed point")
-            first_holder.setdefault(rep, i)
-        for rep, smallest in first_holder.items():
-            if rep != smallest:
-                raise AssertionError(f"representative {rep} is not its block's smallest member {smallest}")
+        """Assert that the members form a partition (test/debug aid)."""
+        members = self.members
+        for i, block in enumerate(members):
+            if i not in block:
+                raise AssertionError(f"qubit {i} is not in its own block {sorted(block)}")
+            for m in block:
+                if not 0 <= m < len(members) or members[m] != block:
+                    raise AssertionError(f"qubit {m} of block {sorted(block)} holds another block")
 
 
 @dataclass
@@ -187,4 +160,5 @@ def init_state(n: int) -> AbstractState:
     """State for |00...0>: all labels s, everything separable and unleveled."""
     if n < 0:
         raise ValueError("qubit count must be non-negative")
-    return AbstractState([BasisLabel.S] * n, Partition.singletons(n), Partition.singletons(n))
+    singles = Partition.singletons(n)
+    return AbstractState([BasisLabel.S] * n, singles, singles)

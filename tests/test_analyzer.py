@@ -294,9 +294,9 @@ class TestModeInvariants:
             pos = list(range(n))  # original wire -> current position
 
             def pulled_back(sep):
-                return Partition(
-                    tuple(min(w for w in range(n) if sep.same_block(pos[w], pos[v]))
-                          for v in range(n)))
+                return Partition.from_blocks(
+                    {tuple(w for w in range(n) if sep.same_block(pos[w], pos[v]))
+                     for v in range(n)}, n)
 
             prev = init_state(n).sep
             for step in steps:

@@ -20,7 +20,6 @@ from qent.circuit import (
     Seq,
     Tensor,
     ValidationError,
-    height,
     iter_gates,
     parse_circuit,
     unparse,
@@ -169,22 +168,22 @@ class TestHeight:
         assert Gate(kind).height == expected
 
     def test_examples(self):
-        assert height(CX) == 2
-        assert height(Tensor(H, I)) == 2
-        assert height(Seq(Tensor(H, I), CX)) == 2
+        assert CX.height == 2
+        assert Tensor(H, I).height == 2
+        assert Seq(Tensor(H, I), CX).height == 2
 
     def test_tensor_is_additive(self):
         rng = random.Random(7)
         for _ in range(200):
             a = random_circuit(rng, rng.randint(1, 4), rng.randint(1, 3))
             b = random_circuit(rng, rng.randint(1, 4), rng.randint(1, 3))
-            assert height(Tensor(a, b)) == height(a) + height(b)
+            assert Tensor(a, b).height == a.height + b.height
 
     def test_matches_naive_oracle(self):
         rng = random.Random(11)
         for _ in range(200):
             c = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 4))
-            assert height(c) == naive_height(c)
+            assert c.height == naive_height(c)
 
 
 class TestValidate:

@@ -1,4 +1,4 @@
-"""Canonical partition encoding and abstract-state tests."""
+"""Partition encoding and abstract-state tests."""
 
 from __future__ import annotations
 
@@ -31,17 +31,23 @@ def all_set_partitions(n):
     yield from grow([0], 0)
 
 
+def part(*blocks):
+    """The partition with the given blocks of {0..n-1}, n their total size."""
+    return Partition.from_blocks(blocks, sum(map(len, blocks)))
+
+
 class TestEncoding:
     def test_array_encoding_example(self):
-        p = Partition((0, 0, 2, 2, 4))
+        p = part([0, 1], [2, 3], [4])
         assert p.blocks() == [[0, 1], [2, 3], [4]]
+        assert p.parent == (0, 0, 2, 2, 4)
 
     def test_singletons(self):
         assert Partition.singletons(3).blocks() == [[0], [1], [2]]
         assert Partition.singletons(0).blocks() == []
 
     def test_same_block(self):
-        p = Partition((0, 0, 0))
+        p = part([0, 1, 2])
         assert p.blocks() == [[0, 1, 2]]
         assert p.same_block(0, 2)
         assert not Partition.singletons(3).same_block(0, 2)
@@ -66,24 +72,33 @@ class TestEncoding:
             Partition.from_blocks([[0]], 2)
         with pytest.raises(IndexError):
             Partition.from_blocks([[0, 5]], 2)
+        with pytest.raises(ValueError, match="qubit 0 appears in more than one block"):
+            Partition.from_blocks([[0, 0], [1]], 2)
+
+    def test_validate_rejects_inconsistent_members(self):
+        b01, b0, b1 = frozenset((0, 1)), frozenset((0,)), frozenset((1,))
+        Partition((b01, b01)).validate()
+        for members in [(b01, b1), (b1, b0), (frozenset((0, 2)), b1)]:
+            with pytest.raises(AssertionError):
+                Partition(members).validate()
 
 
 class TestJoinSplit:
     def test_join_examples(self):
-        assert Partition((0, 1, 2, 3, 4)).join(0, 1) == Partition((0, 0, 2, 3, 4))
-        assert Partition((0, 0, 2, 2, 4)).join(1, 3) == Partition((0, 0, 0, 0, 4))
+        assert part([0], [1], [2], [3], [4]).join(0, 1) == part([0, 1], [2], [3], [4])
+        assert part([0, 1], [2, 3], [4]).join(1, 3) == part([0, 1, 2, 3], [4])
 
     def test_join_same_block_is_identity(self):
-        p = Partition((0, 0, 2))
+        p = part([0, 1], [2])
         assert p.join(0, 1) == p
         assert p.join(2, 2) == p
 
     def test_split_examples(self):
-        assert Partition((0, 0, 2, 2, 4)).split(1) == Partition((0, 1, 2, 2, 4))
-        assert Partition((0, 0, 0)).split(0) == Partition((0, 1, 1))
+        assert part([0, 1], [2, 3], [4]).split(1) == part([0], [1], [2, 3], [4])
+        assert part([0, 1, 2]).split(0) == part([0], [1, 2])
 
     def test_split_singleton_is_identity(self):
-        p = Partition((0, 0, 2))
+        p = part([0, 1], [2])
         assert p.split(2) == p
 
     def test_out_of_range(self):
@@ -92,6 +107,10 @@ class TestJoinSplit:
             p.join(0, 3)
         with pytest.raises(IndexError):
             p.split(-1)
+        for call in (lambda: p.same_block(0, 3), lambda: p.same_block(-1, 0),
+                     lambda: p.join(-1, 0), lambda: p.swapped(-1, 0)):
+            with pytest.raises(IndexError):
+                call()
 
     def test_join_commutes(self):
         rng = random.Random(13)
@@ -120,7 +139,7 @@ class TestJoinSplit:
 
 class TestSwap:
     def test_symmetric_block_unchanged(self):
-        p = Partition((0, 0))
+        p = part([0, 1])
         assert p.swapped(0, 1) == p
 
     def test_two_singletons_is_identity(self):
@@ -132,7 +151,7 @@ class TestSwap:
 
     def test_asymmetric_block(self):
         # {{0},{1,2}} with wires 0 and 1 exchanged becomes {{1},{0,2}}
-        assert Partition((0, 1, 1)).swapped(0, 1) == Partition((0, 1, 0))
+        assert part([0], [1, 2]).swapped(0, 1) == part([1], [0, 2])
 
     def test_involution(self):
         rng = random.Random(19)
@@ -193,12 +212,35 @@ class TestAgainstNaiveOracle:
                 assert p == naive.to_partition(n)
 
 
+class TestExhaustiveSmallScope:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_partition_and_pair(self, n):
+        """join, split and swapped on every partition of <= 6 elements and
+        every (i, j) equal the oracle's result, and return the receiver
+        itself exactly when nothing changes."""
+        cases = 0
+        for blocks in all_set_partitions(n):
+            p = Partition.from_blocks(blocks, n)
+            naive = NaivePartition(blocks)
+            for i in range(n):
+                for j in range(n):
+                    for got, want in [(p.join(i, j), naive.join(i, j)),
+                                      (p.split(i), naive.split(i)),
+                                      (p.swapped(i, j), naive.swapped(i, j))]:
+                        got.validate()
+                        assert got == want.to_partition(n)
+                        assert (got is p) == (got == p)
+                    cases += 1
+        assert cases == {1: 1, 2: 8, 3: 45, 4: 240, 5: 1300, 6: 7308}[n]
+
+
 class TestAbstractState:
     def test_init_examples(self):
         st = init_state(3)
         assert st.labels == [S, S, S]
-        assert st.sep == Partition((0, 1, 2))
-        assert st.lvl == Partition((0, 1, 2))
+        assert st.sep == part([0], [1], [2])
+        assert st.lvl == part([0], [1], [2])
+        assert st.sep is st.lvl  # one shared object until a rule rebinds either
 
         st1 = init_state(1)
         assert (st1.labels, st1.sep.parent, st1.lvl.parent) == ([S], (0,), (0,))

@@ -296,8 +296,8 @@ class TestCheckSoundness:
         assert not rep.ok
 
     def test_flags_false_level_claim(self):
-        claim = AbstractState([BasisLabel.TOP, BasisLabel.TOP],
-                              Partition((0, 0)), Partition((0, 0)))
+        pair = Partition.from_blocks([[0, 1]], 2)
+        claim = AbstractState([BasisLabel.TOP, BasisLabel.TOP], pair, pair)
         s = DenseState.from_amplitudes([1, 1, 0, 1], normalize=True)
         rep = check_soundness(claim, s)
         assert rep.entanglement_ok
@@ -311,12 +311,12 @@ class TestCheckSoundness:
 
     def test_top_is_unconstrained(self):
         claim = AbstractState([BasisLabel.TOP, BasisLabel.TOP],
-                              Partition((0, 0)), Partition.singletons(2))
+                              Partition.from_blocks([[0, 1]], 2), Partition.singletons(2))
         assert check_soundness(claim, BELL).ok
         assert check_soundness(claim, DenseState.zero(2)).ok
 
     def test_overapproximation_is_fine(self):
         # claiming entanglement for a product state is sound
         claim = AbstractState([BasisLabel.TOP, BasisLabel.TOP],
-                              Partition((0, 0)), Partition.singletons(2))
+                              Partition.from_blocks([[0, 1]], 2), Partition.singletons(2))
         assert check_soundness(claim, DenseState.zero(2)).ok
