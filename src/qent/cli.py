@@ -22,7 +22,8 @@ from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
 from .circuit import CircuitSyntaxError, ValidationError, parse_circuit
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
-from .oracle import QubitLimitError, SoundnessReport, check_soundness, simulate
+from .oracle import (DEFAULT_QUBIT_LIMIT, QubitLimitError, SoundnessReport, check_soundness,
+                     simulate)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -75,13 +76,15 @@ def document_to_state(doc: dict) -> AbstractState:
 
 def _print_text(state: AbstractState, mode: AnalysisMode,
                 trace: list[TraceStep] | None) -> None:
-    lines = [f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state)]
+    """Write the result, then the trace line by line, so that the output is
+    never held whole; each distinct snapshot is rendered once."""
+    print(f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state), sep="\n")
+    write = sys.stdout.write
     snap = text = None
     for k, step in enumerate(trace or (), 1):
         if step.state is not snap:  # steps that change nothing share a snapshot
             snap, text = step.state, " | ".join(_state_text(step.state))
-        lines.append(f"step {k}: {step.gate.value}@{step.index} -> {text}")
-    print("\n".join(lines))
+        write(f"step {k}: {step.gate.value}@{step.index} -> {text}\n")
 
 
 def _print_spliced(text: str, trace: list[TraceStep]) -> None:
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
     p_analyze.add_argument("--check-oracle", action="store_true",
                            help="simulate the circuit exactly and verify the analysis")
-    p_analyze.add_argument("--max-oracle-qubits", type=int, default=12, metavar="N")
+    p_analyze.add_argument("--max-oracle-qubits", type=int, default=DEFAULT_QUBIT_LIMIT,
+                           metavar="N")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_compare = sub.add_parser("compare",

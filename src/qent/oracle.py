@@ -2,9 +2,10 @@
 
 Ground truth for differential testing of the static analysis. States are
 dense complex vectors of length 2^n with qubit 0 as the most significant
-bit of the basis index, matching left-to-right ket notation. Everything
-here is exponential in n and guarded by a qubit limit (default 12, which
-keeps the all-bipartitions separability scan around a second).
+bit of the basis index, matching left-to-right ket notation. Every gate
+comes from one unitary table and every check uses one tolerance, EPS.
+Everything here is exponential in n and guarded by a qubit limit (default
+12, which keeps the all-bipartitions separability scan around a second).
 
 Checks provided:
 
@@ -30,17 +31,21 @@ import numpy as np
 from .circuit import CircuitAst, GateKind, iter_gates, validate
 from .domain import AbstractState, BasisLabel
 
-DEFAULT_EPS = 1e-9
+EPS = 1e-9
 DEFAULT_QUBIT_LIMIT = 12
 
 _SQRT2 = np.sqrt(2.0)
-_GATE_1Q = {
+# Two-wire gates act on wires (q, q + 1), the upper wire the more
+# significant bit of the matrix index.
+_UNITARY = {
     GateKind.I: np.eye(2, dtype=complex),
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
     GateKind.T: np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    GateKind.CX: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    GateKind.SW: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
 }
 
 
@@ -79,41 +84,33 @@ class DenseState:
             amps = amps / np.linalg.norm(amps)
         return cls(n, amps)
 
-    def bit(self, qubit: int, basis_index: int) -> int:
-        return (basis_index >> (self.n - 1 - qubit)) & 1
-
     def tensor(self, other: DenseState) -> DenseState:
         return DenseState(self.n + other.n, np.kron(self.amps, other.amps))
 
 
+def _apply(psi: np.ndarray, n: int, kind: GateKind, wires: tuple[int, ...]) -> np.ndarray:
+    """The 2^n amplitudes psi, in shape (2,) * n, with kind's unitary applied
+    at wires; the first wire is the most significant bit of the matrix index."""
+    k = len(wires)
+    u = _UNITARY[kind].reshape((2,) * (2 * k))
+    out = np.tensordot(u, psi.reshape((2,) * n), axes=(range(k, 2 * k), wires))
+    return np.moveaxis(out, range(k), wires)
+
+
 def apply_single(state: DenseState, kind: GateKind, q: int) -> DenseState:
     """Apply a single-qubit unitary at wire q."""
-    u = _GATE_1Q[kind]
-    psi = state.amps.reshape([2] * state.n)
-    psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [q])), 0, q)
-    return DenseState(state.n, psi.reshape(-1))
+    return DenseState(state.n, _apply(state.amps, state.n, kind, (q,)))
 
 
 def apply_cx(state: DenseState, control: int, target: int) -> DenseState:
     """Apply CX with arbitrary control/target wires."""
     if control == target:
         raise ValueError("cx control and target must differ")
-    psi = state.amps.reshape([2] * state.n)
-    out = psi.copy()
-
-    def sl(cv, tv):
-        ix = [slice(None)] * state.n
-        ix[control], ix[target] = cv, tv
-        return tuple(ix)
-
-    out[sl(1, 0)] = psi[sl(1, 1)]
-    out[sl(1, 1)] = psi[sl(1, 0)]
-    return DenseState(state.n, out.reshape(-1))
+    return DenseState(state.n, _apply(state.amps, state.n, GateKind.CX, (control, target)))
 
 
 def apply_swap(state: DenseState, i: int, j: int) -> DenseState:
-    psi = state.amps.reshape([2] * state.n)
-    return DenseState(state.n, np.swapaxes(psi, i, j).reshape(-1))
+    return DenseState(state.n, _apply(state.amps, state.n, GateKind.SW, (i, j)))
 
 
 def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> DenseState:
@@ -121,16 +118,11 @@ def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> Dens
     n = validate(circuit)
     if n > max_qubits:
         raise QubitLimitError(f"{n} qubits exceeds the simulation limit of {max_qubits}")
-    state = DenseState.zero(n)
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
     for gate, q in iter_gates(circuit):
-        kind = gate.kind
-        if kind is GateKind.CX:
-            state = apply_cx(state, q, q + 1)
-        elif kind is GateKind.SW:
-            state = apply_swap(state, q, q + 1)
-        else:
-            state = apply_single(state, kind, q)
-    return state
+        psi = _apply(psi, n, gate.kind, tuple(range(q, q + gate.height)))
+    return DenseState(n, psi)
 
 
 def _bipartition_matrix(state: DenseState, subset: tuple[int, ...]) -> np.ndarray:
@@ -140,13 +132,13 @@ def _bipartition_matrix(state: DenseState, subset: tuple[int, ...]) -> np.ndarra
     return psi.reshape(2 ** len(subset), 2 ** len(rest))
 
 
-def _factorizes(state: DenseState, subset: tuple[int, ...], eps: float) -> bool:
-    # rank-1 test: second-largest singular value below eps
+def _factorizes(state: DenseState, subset: tuple[int, ...]) -> bool:
+    # rank-1 test: second-largest singular value below EPS
     sv = np.linalg.svd(_bipartition_matrix(state, subset), compute_uv=False)
-    return sv[1] < eps
+    return sv[1] < EPS
 
 
-def finest_separable_partition(state: DenseState, eps: float = DEFAULT_EPS,
+def finest_separable_partition(state: DenseState,
                                max_qubits: int = DEFAULT_QUBIT_LIMIT) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
@@ -163,7 +155,7 @@ def finest_separable_partition(state: DenseState, eps: float = DEFAULT_EPS,
         # enumerate each unordered proper bipartition once: qubit 0 stays
         # on one side, and the all-ones mask (subset = everything) is skipped
         subset = tuple(q for q in range(n) if q == 0 or (mask >> (q - 1)) & 1)
-        if _factorizes(state, subset, eps):
+        if _factorizes(state, subset):
             for q in range(n):
                 signatures[q].append(q in subset)
     by_sig: dict[tuple, list[int]] = {}
@@ -172,13 +164,7 @@ def finest_separable_partition(state: DenseState, eps: float = DEFAULT_EPS,
     return sorted(by_sig.values(), key=lambda block: block[0])
 
 
-def substate_table(state: DenseState, eps: float = DEFAULT_EPS) -> list[tuple[str, complex]]:
-    """Nonzero computational-basis terms as (bitstring, amplitude) rows."""
-    return [(format(k, f"0{state.n}b"), amp)
-            for k, amp in enumerate(state.amps) if abs(amp) > eps]
-
-
-def levels_oracle(state: DenseState, eps: float = DEFAULT_EPS,
+def levels_oracle(state: DenseState,
                   max_qubits: int = DEFAULT_QUBIT_LIMIT) -> set[tuple[int, int]]:
     """Pairs (i, j), i < j, of qubits that are genuinely on the same level.
 
@@ -189,16 +175,16 @@ def levels_oracle(state: DenseState, eps: float = DEFAULT_EPS,
     n = state.n
     if n > max_qubits:
         raise QubitLimitError(f"{n} qubits exceeds the oracle limit of {max_qubits}")
-    rows = [bits for bits, _ in substate_table(state, eps)]
-    superposed = [len({row[q] for row in rows}) == 2 for q in range(n)]
-    pairs = set()
-    for i, j in combinations(range(n), 2):
-        if not (superposed[i] and superposed[j]):
-            continue
-        agreement = {row[i] == row[j] for row in rows}
-        if len(agreement) == 1:
-            pairs.add((i, j))
-    return pairs
+    # one row of bits per substate, qubit 0 first; flips marks where a bit
+    # differs from the first row's, and two columns agree or differ in every
+    # row exactly when their flips are equal
+    support = np.flatnonzero(np.abs(state.amps) > EPS)
+    bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    flips = bits ^ bits[0]
+    by_flips: dict[bytes, list[int]] = {}
+    for q in np.flatnonzero(flips.any(axis=0)):
+        by_flips.setdefault(flips[:, q].tobytes(), []).append(int(q))
+    return {pair for block in by_flips.values() for pair in combinations(block, 2)}
 
 
 class ConcreteBasis(Enum):
@@ -207,7 +193,7 @@ class ConcreteBasis(Enum):
     NEITHER = "neither"
 
 
-def basis_oracle(state: DenseState, qubit: int, eps: float = DEFAULT_EPS,
+def basis_oracle(state: DenseState, qubit: int,
                  max_qubits: int = DEFAULT_QUBIT_LIMIT) -> ConcreteBasis:
     """Classify a qubit's basis; entangled qubits are NEITHER."""
     n = state.n
@@ -221,31 +207,40 @@ def basis_oracle(state: DenseState, qubit: int, eps: float = DEFAULT_EPS,
         m = _bipartition_matrix(state, (qubit,))
         # reduced SVD: the 2^(n-1) x 2^(n-1) right factor is never read
         u, sv, _ = np.linalg.svd(m, full_matrices=False)
-        if sv[1] >= eps:
+        if sv[1] >= EPS:
             return ConcreteBasis.NEITHER
         vec = u[:, 0]
-    if max(abs(vec[0]), abs(vec[1])) > 1 - eps:
+    if max(abs(vec[0]), abs(vec[1])) > 1 - EPS:
         return ConcreteBasis.STANDARD
-    if max(abs(vec[0] + vec[1]), abs(vec[0] - vec[1])) / _SQRT2 > 1 - eps:
+    if max(abs(vec[0] + vec[1]), abs(vec[0] - vec[1])) / _SQRT2 > 1 - EPS:
         return ConcreteBasis.DIAGONAL
     return ConcreteBasis.NEITHER
 
 
 @dataclass
 class SoundnessReport:
-    """Outcome of checking an analysis result against the exact state."""
+    """Outcome of checking an analysis result; each flag is read from the violations."""
 
-    entanglement_ok: bool
-    level_ok: bool
-    label_ok: bool
     violations: list[tuple[str, object, str]] = field(default_factory=list)
 
     @property
+    def entanglement_ok(self) -> bool:
+        return all(kind != "entanglement" for kind, _, _ in self.violations)
+
+    @property
+    def level_ok(self) -> bool:
+        return all(kind != "level" for kind, _, _ in self.violations)
+
+    @property
+    def label_ok(self) -> bool:
+        return all(kind != "label" for kind, _, _ in self.violations)
+
+    @property
     def ok(self) -> bool:
-        return self.entanglement_ok and self.level_ok and self.label_ok
+        return not self.violations
 
 
-def check_soundness(st: AbstractState, state: DenseState, eps: float = DEFAULT_EPS,
+def check_soundness(st: AbstractState, state: DenseState,
                     max_qubits: int = DEFAULT_QUBIT_LIMIT) -> SoundnessReport:
     """Compare an AbstractState against the exact state.
 
@@ -260,8 +255,7 @@ def check_soundness(st: AbstractState, state: DenseState, eps: float = DEFAULT_E
         raise ValueError(f"analysis has {st.n} qubits, state has {state.n}")
     violations: list[tuple[str, object, str]] = []
 
-    exact = finest_separable_partition(state, eps, max_qubits)
-    for block in exact:
+    for block in finest_separable_partition(state, max_qubits):
         for i, j in combinations(block, 2):
             if not st.sep.same_block(i, j):
                 violations.append((
@@ -269,7 +263,7 @@ def check_soundness(st: AbstractState, state: DenseState, eps: float = DEFAULT_E
                     f"qubits {i} and {j} are not separable but the analysis splits them",
                 ))
 
-    true_levels = levels_oracle(state, eps, max_qubits)
+    true_levels = levels_oracle(state, max_qubits)
     for block in st.lvl.blocks():
         for i, j in combinations(block, 2):
             if (i, j) not in true_levels:
@@ -281,16 +275,10 @@ def check_soundness(st: AbstractState, state: DenseState, eps: float = DEFAULT_E
     expected = {BasisLabel.S: ConcreteBasis.STANDARD, BasisLabel.D: ConcreteBasis.DIAGONAL}
     for q, label in enumerate(st.labels):
         want = expected.get(label)
-        if want is not None and basis_oracle(state, q, eps, max_qubits) is not want:
+        if want is not None and basis_oracle(state, q, max_qubits) is not want:
             violations.append((
                 "label", q,
                 f"qubit {q} is labeled {label.value} but is not in the {want.value} basis",
             ))
 
-    kinds = {kind for kind, _, _ in violations}
-    return SoundnessReport(
-        entanglement_ok="entanglement" not in kinds,
-        level_ok="level" not in kinds,
-        label_ok="label" not in kinds,
-        violations=violations,
-    )
+    return SoundnessReport(violations)

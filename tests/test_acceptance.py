@@ -96,9 +96,9 @@ def test_c2_corrected_semantics_divergence():
             sim = apply_cx(sim, arg[0], arg[1])
     assert np.allclose(sim.amps, exact.amps, atol=EPS)
 
-    safe_report = check_soundness(final_safe, exact, eps=EPS)
+    safe_report = check_soundness(final_safe, exact)
     final_unsafe, _ = run_pitfall_trace(UNSAFE)
-    unsafe_report = check_soundness(final_unsafe, exact, eps=EPS)
+    unsafe_report = check_soundness(final_unsafe, exact)
     unsafe_caught = (not unsafe_report.entanglement_ok
                      and any(kind == "entanglement" and subject == (0, 1)
                              for kind, subject, _ in unsafe_report.violations))
@@ -116,7 +116,7 @@ def test_c3_levels_precision_demo():
     levels_ok = state_row(with_levels) == (["top", "s"], [[0], [1]], [[0], [1]])
     nolevels_ok = (without.sep.blocks() == [[0, 1]]
                    and [l.value for l in without.labels] == ["top", "top"])
-    oracle_ok = finest_separable_partition(simulate(circuit), eps=EPS) == [[0], [1]]
+    oracle_ok = finest_separable_partition(simulate(circuit)) == [[0], [1]]
     report(3, "levels precision demo", levels_ok and nolevels_ok and oracle_ok)
 
 
@@ -131,7 +131,7 @@ def test_c4_randomized_differential_soundness():
         circuit = random_circuit(rng, n, columns)
         exact = simulate(circuit)
         for mode in (LEVELS, NO_LEVELS):
-            rep = check_soundness(analyze(circuit, mode), exact, eps=EPS)
+            rep = check_soundness(analyze(circuit, mode), exact)
             if not rep.ok:
                 violations.append((k, mode.value, rep.violations))
     elapsed = time.perf_counter() - start
@@ -262,7 +262,7 @@ def _check_1q_row(kind, label_in, label_out):
     for rep in CONCRETE[label_in]:
         out = apply_single(rep, kind, 0)
         want = BASIS_OF.get(label_out)
-        got = basis_oracle(out, 0, eps=EPS)
+        got = basis_oracle(out, 0)
         if want is not None and got is not want:
             return False
         if label_in in BASIS_OF and label_out is TOP and got is BASIS_OF[label_in]:
@@ -280,11 +280,11 @@ def _check_cx_preserving(lc, lt):
     for control_rep in CONCRETE[lc]:
         for target_rep in CONCRETE[lt]:
             out = apply_cx(control_rep.tensor(target_rep), 0, 1)
-            if finest_separable_partition(out, eps=EPS) != [[0], [1]]:
+            if finest_separable_partition(out) != [[0], [1]]:
                 return False
             for wire, label in ((0, lc), (1, lt)):
                 want = BASIS_OF.get(label)
-                if want is not None and basis_oracle(out, wire, eps=EPS) is not want:
+                if want is not None and basis_oracle(out, wire) is not want:
                     return False
     return True
 
@@ -304,9 +304,9 @@ def _check_cx_bell_row():
             out = apply_cx(control_rep.tensor(target_rep), 0, 1)
             if not any(np.allclose(out.amps, bell, atol=EPS) for bell in bells):
                 return False
-            if levels_oracle(out, eps=EPS) != {(0, 1)}:
+            if levels_oracle(out) != {(0, 1)}:
                 return False
-            if finest_separable_partition(out, eps=EPS) != [[0, 1]]:
+            if finest_separable_partition(out) != [[0, 1]]:
                 return False
     return True
 

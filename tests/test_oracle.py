@@ -23,12 +23,51 @@ from qent.oracle import (
     finest_separable_partition,
     levels_oracle,
     simulate,
-    substate_table,
 )
-from qent.circuit import GateKind
+from qent.circuit import GateKind, iter_gates
 from helpers import random_circuit
 
 RT2 = 1 / np.sqrt(2)
+
+# Reference matrices, written out here apart from the oracle's own table.
+# Wire 0 is the leftmost Kronecker factor, the most significant bit.
+REF_1Q = {
+    GateKind.I: np.array([[1, 0], [0, 1]]),
+    GateKind.X: np.array([[0, 1], [1, 0]]),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]]),
+    GateKind.Z: np.array([[1, 0], [0, -1]]),
+    GateKind.H: np.array([[1, 1], [1, -1]]) * RT2,
+    GateKind.T: np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]]),
+}
+KET_BRA = {(a, b): np.outer(np.eye(2)[a], np.eye(2)[b]) for a in (0, 1) for b in (0, 1)}
+
+
+def ref_op(n, factors):
+    """The 2^n x 2^n Kronecker product of factors[q] over wires q, with the
+    identity on the wires not named."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def ref_cx(n, control, target):
+    return ref_op(n, {control: KET_BRA[0, 0]}) + ref_op(n, {control: KET_BRA[1, 1],
+                                                            target: REF_1Q[GateKind.X]})
+
+
+def ref_swap(n, i, j):
+    # |x y> -> |y x>, as the sum of |a><b| (x) |b><a|
+    return sum(ref_op(n, {i: KET_BRA[a, b], j: KET_BRA[b, a]}) for a, b in KET_BRA)
+
+
+def random_states(seed):
+    """Random normalized states of 1-5 qubits, three per width."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 6):
+        for _ in range(3):
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            yield DenseState.from_amplitudes(amps, normalize=True)
 
 
 def dense(*pairs, n=None):
@@ -58,17 +97,6 @@ class TestDenseState:
         s = DenseState.from_amplitudes([1, 1, 0, 1], normalize=True)
         assert s.n == 2
         assert abs(np.linalg.norm(s.amps) - 1) < 1e-12
-
-    def test_bit_convention_msb_first(self):
-        # qubit 0 is the most significant bit of the basis index
-        s = DenseState.zero(2)
-        assert s.bit(0, 0b10) == 1
-        assert s.bit(1, 0b10) == 0
-
-    def test_substate_table(self):
-        rows = substate_table(BELL)
-        assert [bits for bits, _ in rows] == ["00", "11"]
-        assert all(abs(amp - RT2) < 1e-12 for _, amp in rows)
 
 
 class TestSimulate:
@@ -116,6 +144,50 @@ class TestSimulate:
         assert np.allclose(s2.amps, [0, 1, 0, 0])
 
 
+class TestGateKernel:
+    """Every gate at every wire equals its Kronecker-product reference."""
+
+    def test_single_qubit_gates(self):
+        for s in random_states(71):
+            for kind, u in REF_1Q.items():
+                for q in range(s.n):
+                    got = apply_single(s, kind, q).amps
+                    assert np.allclose(got, ref_op(s.n, {q: u}) @ s.amps, atol=1e-12)
+
+    def test_cx_every_orientation_and_distance(self):
+        for s in random_states(73):
+            for c in range(s.n):
+                for t in range(s.n):
+                    if c == t:
+                        with pytest.raises(ValueError):
+                            apply_cx(s, c, t)
+                    else:
+                        got = apply_cx(s, c, t).amps
+                        assert np.allclose(got, ref_cx(s.n, c, t) @ s.amps, atol=1e-12)
+
+    def test_swap_every_pair(self):
+        for s in random_states(79):
+            for i, j in combinations(range(s.n), 2):
+                want = ref_swap(s.n, i, j) @ s.amps
+                assert np.allclose(apply_swap(s, i, j).amps, want, atol=1e-12)
+                assert np.allclose(apply_swap(s, j, i).amps, want, atol=1e-12)
+
+    def test_simulate_random_circuits(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            c = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 10))
+            n = c.height
+            want = np.eye(2 ** n)[0].astype(complex)
+            for gate, q in iter_gates(c):
+                if gate.kind is GateKind.CX:
+                    want = ref_cx(n, q, q + 1) @ want
+                elif gate.kind is GateKind.SW:
+                    want = ref_swap(n, q, q + 1) @ want
+                else:
+                    want = ref_op(n, {q: REF_1Q[gate.kind]}) @ want
+            assert np.allclose(simulate(c).amps, want, atol=1e-12)
+
+
 class TestFinestSeparablePartition:
     def test_bell_is_one_block(self):
         assert finest_separable_partition(BELL) == [[0, 1]]
@@ -154,6 +226,16 @@ class TestFinestSeparablePartition:
         assert finest_separable_partition(s) == [[0, 1]]
 
 
+def levels_by_definition(state):
+    """Pairs (i, j), i < j, of superposed qubits whose bits agree in every
+    nonzero basis state or differ in every one, read pair by pair off the
+    bit strings of those basis states."""
+    rows = [format(k, f"0{state.n}b") for k, amp in enumerate(state.amps) if abs(amp) > 1e-9]
+    superposed = [len({row[q] for row in rows}) == 2 for q in range(state.n)]
+    return {(i, j) for i, j in combinations(range(state.n), 2)
+            if superposed[i] and superposed[j] and len({row[i] == row[j] for row in rows}) == 1}
+
+
 class TestLevelsOracle:
     def test_bell_states_leveled(self):
         assert levels_oracle(BELL) == {(0, 1)}
@@ -188,7 +270,7 @@ class TestLevelsOracle:
         """(i, j) and (j, k) leveled imply (i, k) leveled, on GHZ states of
         2-12 wires (plain and with random bits flipped, so that some pairs
         disagree in every substate) and on seeded random circuits of up to
-        8 wires."""
+        8 wires; on all of them the pairs equal levels_by_definition's."""
         rng = random.Random(61)
         ghz = [dense((b, RT2), (b ^ (2 ** n - 1), RT2), n=n)
                for n in range(2, 13) for b in (0, rng.randrange(2 ** n))]
@@ -197,6 +279,7 @@ class TestLevelsOracle:
         chained = 0
         for k, s in enumerate(ghz + circuits):
             pairs = levels_oracle(s)
+            assert pairs == levels_by_definition(s)
             for (a, b), (c, d) in combinations(pairs, 2):
                 shared = {a, b} & {c, d}
                 if len(shared) == 1:
