@@ -5,13 +5,16 @@ dense complex vectors of length 2^n with qubit 0 as the most significant
 bit of the basis index, matching left-to-right ket notation. Every gate
 comes from one unitary table and every check uses one tolerance, EPS.
 Everything here is exponential in n and guarded by a qubit limit (default
-12, which keeps the all-bipartitions separability scan around a second).
+12).
 
 Checks provided:
 
 * finest_separable_partition: the unique most-refined grouping of qubits
-  across which the state factorizes, found by rank-1 testing every
-  bipartition and intersecting the factorizable ones.
+  across which the state factorizes. Correlated qubit pairs seed
+  components; rank-1 tests over unions of components split off factors,
+  and each factor is split again. States that are entangled while every
+  pair marginal is a product (2-uniform states) still cost up to
+  2^(k-1) - 1 tests over k components.
 * levels_oracle: pairs of superposed qubits whose bit values agree (or
   disagree) across every nonzero amplitude; measuring one collapses the
   other.
@@ -32,6 +35,12 @@ from .circuit import CircuitAst, GateKind, iter_gates, validate
 from .domain import AbstractState, BasisLabel
 
 EPS = 1e-9
+# Pair-correlation threshold that seeds finest_separable_partition. Qubits
+# in factors that the rank-1 test separates (sv[1] < EPS) have
+# max|rho_ij - rho_i (x) rho_j| of order EPS, far below PAIR_EPS, so uniting
+# a pair above it never makes the result coarser than testing every cut; a
+# correlation below it that is missed costs only extra SVDs.
+PAIR_EPS = 1e-6
 DEFAULT_QUBIT_LIMIT = 12
 
 _SQRT2 = np.sqrt(2.0)
@@ -121,6 +130,8 @@ def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> Dens
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
     for gate, q in iter_gates(circuit):
+        if gate.kind is GateKind.I:
+            continue
         psi = _apply(psi, n, gate.kind, tuple(range(q, q + gate.height)))
     return DenseState(n, psi)
 
@@ -132,36 +143,58 @@ def _bipartition_matrix(state: DenseState, subset: tuple[int, ...]) -> np.ndarra
     return psi.reshape(2 ** len(subset), 2 ** len(rest))
 
 
-def _factorizes(state: DenseState, subset: tuple[int, ...]) -> bool:
-    # rank-1 test: second-largest singular value below EPS
-    sv = np.linalg.svd(_bipartition_matrix(state, subset), compute_uv=False)
-    return sv[1] < EPS
-
-
 def finest_separable_partition(state: DenseState,
                                max_qubits: int = DEFAULT_QUBIT_LIMIT) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
-    Tests all 2^(n-1) - 1 bipartitions and returns the common refinement
-    of the factorizable ones; invariant under global phase.
+    Qubits whose two-qubit marginal is not the product of their one-qubit
+    marginals lie in one factor, so these pairs seed components. Only cuts
+    that are unions of components are rank-1 tested, smallest first; the
+    first that factorizes splits the state into its two top singular
+    vectors, each split the same way, and a set of components with no such
+    cut is one block. Invariant under global phase.
     """
     n = state.n
     if n > max_qubits:
         raise QubitLimitError(f"{n} qubits exceeds the oracle limit of {max_qubits}")
-    if n <= 1:
-        return [[q] for q in range(n)]
-    signatures = [[] for _ in range(n)]
-    for mask in range(2 ** (n - 1) - 1):
-        # enumerate each unordered proper bipartition once: qubit 0 stays
-        # on one side, and the all-ones mask (subset = everything) is skipped
-        subset = tuple(q for q in range(n) if q == 0 or (mask >> (q - 1)) & 1)
-        if _factorizes(state, subset):
-            for q in range(n):
-                signatures[q].append(q in subset)
-    by_sig: dict[tuple, list[int]] = {}
+    psi = state.amps.reshape((2,) * n)
+
+    def marginal(*qubits):
+        m = np.moveaxis(psi, qubits, range(len(qubits))).reshape(2 ** len(qubits), -1)
+        return m @ m.conj().T
+
+    one = [marginal(q) for q in range(n)]
+    label = list(range(n))
+    for i, j in combinations(range(n), 2):
+        if label[i] != label[j] and np.abs(
+                marginal(i, j) - np.kron(one[i], one[j])).max() > PAIR_EPS:
+            old, new = label[j], label[i]
+            label = [new if lab == old else lab for lab in label]
+    components: dict[int, list[int]] = {}
     for q in range(n):
-        by_sig.setdefault(tuple(signatures[q]), []).append(q)
-    return sorted(by_sig.values(), key=lambda block: block[0])
+        components.setdefault(label[q], []).append(q)
+
+    # each item: a factor state, its qubits in ascending order (the state's
+    # axes) and the components that make it up
+    blocks = []
+    work = [(state, list(range(n)), list(components.values()))] if n else []
+    while work:
+        sub, qubits, comps = work.pop()
+        axis = {q: k for k, q in enumerate(qubits)}
+        cuts = (cut for r in range(len(comps) - 1) for cut in combinations(comps[1:], r))
+        for cut in cuts:
+            side = tuple(sorted(axis[q] for comp in (comps[0], *cut) for q in comp))
+            u, sv, vh = np.linalg.svd(_bipartition_matrix(sub, side), full_matrices=False)
+            if sv[1] < EPS:
+                inside = [qubits[k] for k in side]
+                rest = [q for q in qubits if q not in inside]
+                work.append((DenseState(len(inside), u[:, 0]), inside, [comps[0], *cut]))
+                work.append((DenseState(len(rest), vh[0]), rest,
+                             [comp for comp in comps[1:] if comp not in cut]))
+                break
+        else:
+            blocks.append(qubits)
+    return sorted(blocks)
 
 
 def levels_oracle(state: DenseState,

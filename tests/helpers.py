@@ -5,9 +5,12 @@ from __future__ import annotations
 import functools
 import random
 
+import numpy as np
+
 from qent.analyzer import apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor
 from qent.domain import Partition, init_state
+from qent.oracle import EPS, _bipartition_matrix
 
 SINGLE_QUBIT = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.T]
 TWO_QUBIT = [GateKind.SW, GateKind.CX]
@@ -61,6 +64,28 @@ class NaivePartition:
 
     def to_partition(self, n):
         return Partition.from_blocks(self.blocks, n)
+
+
+def scan_finest_partition(state):
+    """Reference for finest_separable_partition: rank-1 test every one of
+    the 2^(n-1) - 1 bipartitions (sv[1] < EPS) and return the common
+    refinement of the factorizable ones, blocks by least member."""
+    n = state.n
+    if n <= 1:
+        return [[q] for q in range(n)]
+    signatures = [[] for _ in range(n)]
+    for mask in range(2 ** (n - 1) - 1):
+        # enumerate each unordered proper bipartition once: qubit 0 stays
+        # on one side, and the all-ones mask (subset = everything) is skipped
+        subset = tuple(q for q in range(n) if q == 0 or (mask >> (q - 1)) & 1)
+        sv = np.linalg.svd(_bipartition_matrix(state, subset), compute_uv=False)
+        if sv[1] < EPS:
+            for q in range(n):
+                signatures[q].append(q in subset)
+    by_sig: dict[tuple, list[int]] = {}
+    for q in range(n):
+        by_sig.setdefault(tuple(signatures[q]), []).append(q)
+    return sorted(by_sig.values(), key=lambda block: block[0])
 
 
 def random_column(rng: random.Random, n: int, kinds=ALL_KINDS):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import qent.oracle
 from qent.analyzer import analyze
-from qent.circuit import parse_circuit
+from qent.circuit import Gate, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from qent.oracle import (
     ConcreteBasis,
@@ -25,7 +27,7 @@ from qent.oracle import (
     simulate,
 )
 from qent.circuit import GateKind, iter_gates
-from helpers import random_circuit
+from helpers import ALL_KINDS, pad_at, random_circuit, random_column, scan_finest_partition
 
 RT2 = 1 / np.sqrt(2)
 
@@ -188,30 +190,120 @@ class TestGateKernel:
             assert np.allclose(simulate(c).amps, want, atol=1e-12)
 
 
+def finest(state):
+    """finest_separable_partition(state), checked against the reference
+    scan of every bipartition."""
+    got = finest_separable_partition(state)
+    assert got == scan_finest_partition(state)
+    return got
+
+
+def perfect_code_state():
+    """|0_L> of the 5-qubit perfect code: |00000> projected onto the +1
+    eigenspace of XZZXI and its cyclic shifts. Its every two-qubit marginal
+    is I/4 (it is 2-uniform), so no pair of qubits shows a correlation."""
+    pauli = {"I": REF_1Q[GateKind.I], "X": REF_1Q[GateKind.X], "Z": REF_1Q[GateKind.Z]}
+    amps = np.eye(32, dtype=complex)[0]
+    for k in range(4):
+        word = ("XZZXI" * 2)[5 - k:10 - k]
+        amps = (amps + functools.reduce(np.kron, [pauli[p] for p in word]) @ amps) / 2
+    return DenseState.from_amplitudes(amps, normalize=True)
+
+
+def weak_pair(theta):
+    """cos(theta)|00> + sin(theta)|11>, whose cut has sv[1] = sin(theta)."""
+    return dense((0b00, np.cos(theta)), (0b11, np.sin(theta)), n=2)
+
+
+def ghz(n):
+    return dense((0, RT2), (2 ** n - 1, RT2), n=n)
+
+
+def permuted(state, order):
+    """state with its tensor factor k moved to wire order[k]."""
+    psi = state.amps.reshape([2] * state.n).transpose(np.argsort(order))
+    return DenseState(state.n, psi.reshape(-1))
+
+
+def count_svds(monkeypatch):
+    """A list that grows by one on every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(qent.oracle.np.linalg, "svd", counted)
+    return calls
+
+
+# Circuit layouts of the benchmark's exact checks: groups of 2-4 wires side
+# by side, one GHZ ladder with a local tail, and the stale-level sequence
+# (its reversed CX built from swaps) among groups.
+PITFALL_TEXT = " oo ".join([
+    "H ** I ** I", "CX ** I", "SW ** I", "CX ** I", "SW ** I", "I ** H ** I", "I ** CX",
+    "H ** I ** I", "CX ** I", "I ** SW", "I ** CX", "I ** SW"])
+
+
+def ghz_circuit(rng, wires, tail=(GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.T)):
+    """H and a CX ladder over all wires, then 0-6 random columns of tail."""
+    c = pad_at(Gate(GateKind.H), 0, wires)
+    for q in range(wires - 1):
+        c = Seq(c, pad_at(Gate(GateKind.CX), q, wires))
+    for _ in range(rng.randint(0, 6)):
+        c = Seq(c, random_column(rng, wires, tail))
+    return c
+
+
+def factor_groups(rng, wires):
+    """Groups of 2-4 wires, each a GHZ ladder then random gates of every kind,
+    and one single wire if one is left over."""
+    groups = []
+    while wires > 1:
+        w = min(rng.randint(2, 4), wires)
+        groups.append(ghz_circuit(rng, w, ALL_KINDS))
+        wires -= w
+    if wires:
+        groups.append(random_circuit(rng, 1, 3))
+    return groups
+
+
+def oracle_layouts(seed):
+    rng = random.Random(seed)
+    for wires in range(2, 11):
+        for _ in range(4):
+            yield functools.reduce(Tensor, factor_groups(rng, wires))
+            yield ghz_circuit(rng, wires)
+            if wires >= 5:
+                groups = factor_groups(rng, wires - 3)
+                groups.insert(rng.randrange(len(groups) + 1), parse_circuit(PITFALL_TEXT))
+                yield functools.reduce(Tensor, groups)
+
+
 class TestFinestSeparablePartition:
     def test_bell_is_one_block(self):
-        assert finest_separable_partition(BELL) == [[0, 1]]
+        assert finest(BELL) == [[0, 1]]
 
     def test_product_of_basis_states(self):
-        assert finest_separable_partition(DenseState.zero(2)) == [[0], [1]]
+        assert finest(DenseState.zero(2)) == [[0], [1]]
 
     def test_bell_tensor_zeros(self):
         s = BELL.tensor(DenseState.zero(2))
-        assert finest_separable_partition(s) == [[0, 1], [2], [3]]
+        assert finest(s) == [[0, 1], [2], [3]]
 
     def test_nonadjacent_pair(self):
         s = dense((0b000, RT2), (0b101, RT2), n=3)
-        assert finest_separable_partition(s) == [[0, 2], [1]]
+        assert finest(s) == [[0, 2], [1]]
 
     def test_ghz_single_block(self):
-        s = dense((0b000, RT2), (0b111, RT2), n=3)
-        assert finest_separable_partition(s) == [[0, 1, 2]]
+        assert finest(ghz(3)) == [[0, 1, 2]]
 
     def test_w_state_single_block(self):
         amps = np.zeros(8)
         amps[[0b001, 0b010, 0b100]] = 1
         s = DenseState.from_amplitudes(amps, normalize=True)
-        assert finest_separable_partition(s) == [[0, 1, 2]]
+        assert finest(s) == [[0, 1, 2]]
 
     def test_global_phase_invariance(self):
         rng = random.Random(53)
@@ -219,11 +311,97 @@ class TestFinestSeparablePartition:
             c = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 8))
             s = simulate(c)
             rotated = DenseState(s.n, s.amps * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-            assert finest_separable_partition(s) == finest_separable_partition(rotated)
+            assert finest(s) == finest(rotated)
 
     def test_entangled_but_levelless_pair(self):
         s = DenseState.from_amplitudes([1, 1, 0, 1], normalize=True)
-        assert finest_separable_partition(s) == [[0, 1]]
+        assert finest(s) == [[0, 1]]
+
+    def test_zero_and_one_qubit(self):
+        assert finest_separable_partition(DenseState(0, [1])) == []
+        assert finest(DenseState.from_amplitudes([RT2, 1j * RT2])) == [[0]]
+
+    def test_qubit_limit(self):
+        with pytest.raises(QubitLimitError):
+            finest_separable_partition(DenseState.zero(13))
+        assert finest_separable_partition(DenseState.zero(13), max_qubits=13) == [
+            [q] for q in range(13)]
+
+    def test_matches_scan_on_random_circuits(self):
+        rng = random.Random(89)
+        for _ in range(400):
+            finest(simulate(random_circuit(rng, rng.randint(1, 10), rng.randint(1, 12))))
+
+    def test_matches_scan_on_oracle_layouts(self):
+        blocks = [finest(simulate(c)) for c in oracle_layouts(97)]
+        assert len(blocks) == 96
+        # the layouts reach products of several blocks
+        assert max(sum(len(b) > 1 for b in bs) for bs in blocks) >= 3
+
+
+class TestFinestWorstCases:
+    def test_perfect_code_is_one_block_without_pair_correlations(self):
+        code = perfect_code_state()
+        for i, j in combinations(range(5), 2):
+            m = np.moveaxis(code.amps.reshape([2] * 5), (i, j), (0, 1)).reshape(4, -1)
+            assert np.allclose(m @ m.conj().T, np.eye(4) / 4, atol=1e-12)
+        assert finest(code) == [list(range(5))]
+
+    def test_perfect_code_products(self):
+        code = perfect_code_state()
+        assert finest(code.tensor(code)) == [list(range(5)), list(range(5, 10))]
+        s = BELL.tensor(code).tensor(code)  # 12 qubits, beyond the scan's test range
+        assert finest_separable_partition(s) == [[0, 1], list(range(2, 7)), list(range(7, 12))]
+
+    def test_weak_entanglement_is_one_block(self, monkeypatch):
+        # sv[1] = sin(theta) >= EPS keeps the pair one block, whether its
+        # pair deviation (about sin(theta)) is above PAIR_EPS, so that
+        # seeding unites it, or below, so that only the cut test sees it
+        assert finest(weak_pair(1e-4)) == [[0, 1]]
+        calls = count_svds(monkeypatch)
+        assert finest_separable_partition(weak_pair(1e-4)) == [[0, 1]]
+        assert calls == []
+        assert finest_separable_partition(weak_pair(1e-7)) == [[0, 1]]
+        assert len(calls) == 1
+        assert finest_separable_partition(weak_pair(1e-11)) == [[0], [1]]
+
+
+class TestFinestCost:
+    """SVD calls counted, not timed: the scan needs 2^(n-1) - 1 of them."""
+
+    def test_ghz_needs_no_svd(self, monkeypatch):
+        calls = count_svds(monkeypatch)
+        assert finest_separable_partition(ghz(12)) == [list(range(12))]
+        assert calls == []
+
+    def test_product_of_k_factors_needs_at_most_k_minus_1(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        w = DenseState.from_amplitudes([0, 1, 1, 0, 1, 0, 0, 0], normalize=True)
+        pool = [BELL, BELL_ANTI, ghz(3), w, ghz(4),
+                DenseState.from_amplitudes([1, 1, 0, 1], normalize=True),
+                DenseState.zero(1), DenseState.from_amplitudes([RT2, RT2]),
+                DenseState.from_amplitudes([RT2, np.exp(1j * np.pi / 4) * RT2])]
+        calls = count_svds(monkeypatch)
+        for _ in range(60):
+            factors, n = [], 0
+            while True:
+                f = pool[rng.integers(len(pool))]
+                if rng.random() < 0.3:  # a random 2-4 qubit factor
+                    m = int(rng.integers(2, 5))
+                    f = DenseState.from_amplitudes(rng.normal(size=2 ** m)
+                                                   + 1j * rng.normal(size=2 ** m), normalize=True)
+                if n + f.n > 12:
+                    break
+                factors.append(f)
+                n += f.n
+            order = rng.permutation(n)
+            state = permuted(functools.reduce(DenseState.tensor, factors), order)
+            starts = np.cumsum([0] + [f.n for f in factors])
+            want = sorted(sorted(int(order[k]) for k in range(a, b))
+                          for a, b in zip(starts, starts[1:]))
+            calls.clear()
+            assert finest_separable_partition(state) == want
+            assert len(calls) <= len(factors) - 1
 
 
 def levels_by_definition(state):
