@@ -20,14 +20,20 @@ trees exist: Seq raises ValidationError when its operands' heights differ,
 and parse_circuit reports that at the `oo` token's line and column. CX at
 base wire i always has its control on the upper wire i and its target on
 the wire directly below, i + 1 (use SW chains to reach other layouts).
+
+Tree nodes are immutable `__slots__` objects: assigning an attribute raises
+AttributeError. Each node stores its height, set once when it is built, so
+reading it is O(1). `==`, `hash()` and `repr()` walk a tree with an explicit
+stack, so they, like the parser, `iter_gates` and `unparse`, have no depth
+limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from operator import is_ as _is
 from typing import Iterator, Union
 
 
@@ -41,41 +47,121 @@ class GateKind(Enum):
     SW = "SW"
     CX = "CX"
 
+    # Members are singletons and == is identity, so an identity hash agrees
+    # with it; it replaces Enum.__hash__, a Python call on every rule and
+    # unitary table lookup. Its values differ between processes, so no
+    # output may depend on them: no GateKind is kept in a set.
+    __hash__ = object.__hash__
+
     @property
     def height(self) -> int:
-        return 2 if self in (GateKind.SW, GateKind.CX) else 1
+        return 2 if self is GateKind.SW or self is GateKind.CX else 1
 
 
-@dataclass(frozen=True)
+def _immutable(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class Gate:
-    kind: GateKind
+    """One gate. Its height is stored, as each Tensor and Seq built on it reads it."""
 
-    @property
-    def height(self) -> int:
-        return self.kind.height
+    __slots__ = ("kind", "height")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, kind: GateKind):
+        _set_kind(self, kind)
+        _set_gate_height(self, kind.height)
+
+    def __eq__(self, other):
+        if type(other) is not Gate:
+            return NotImplemented
+        return self.kind is other.kind
+
+    def __hash__(self):
+        return hash(self.kind)
+
+    def __repr__(self):
+        return f"Gate(kind={self.kind!r})"
+
+    def __reduce__(self):
+        return Gate, (self.kind,)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: CircuitAst
-    right: CircuitAst
-    height: int = field(init=False, compare=False, repr=False)
+class _Binary:
+    """A Tensor or Seq node: two subcircuits and the height they span."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "height", self.left.height + self.right.height)
+    __slots__ = ("left", "right", "height")
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # A pre-order tag sequence of a binary tree is never a proper prefix
+        # of another's, so the walks differ before the shorter one ends.
+        return self is other or all(map(_is, _preorder(self), _preorder(other)))
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            t = type(item)
+            if t is str:
+                out.append(item)
+            elif t is Gate:
+                out.append(repr(item))
+            else:
+                out.append(f"{t.__qualname__}(left=")
+                stack += (")", item.right, ", right=", item.left)
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: CircuitAst
-    right: CircuitAst
-    height: int = field(init=False, compare=False, repr=False)
+class Tensor(_Binary):
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = self.left.height
-        if h != self.right.height:
-            raise ValidationError(h, self.right.height)
-        object.__setattr__(self, "height", h)
+    def __init__(self, left: CircuitAst, right: CircuitAst):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_height(self, left.height + right.height)
+
+
+class Seq(_Binary):
+    __slots__ = ()
+
+    def __init__(self, left: CircuitAst, right: CircuitAst):
+        h = left.height
+        if h != right.height:
+            raise ValidationError(h, right.height)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_height(self, h)
+
+
+# __init__ sets the slots through their own setters, which bypass _immutable
+# and cost less than object.__setattr__.
+_set_kind, _set_gate_height = Gate.kind.__set__, Gate.height.__set__
+_set_left, _set_right, _set_height = _Binary.left.__set__, _Binary.right.__set__, _Binary.height.__set__
+
+
+def _preorder(node: CircuitAst) -> Iterator[GateKind | type]:
+    """The tree's nodes in pre-order as tags, a gate's kind or a node's class,
+    which determine the tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Gate:
+            yield node.kind
+        else:
+            yield t
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 CircuitAst = Union[Gate, Tensor, Seq]

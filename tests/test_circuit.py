@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -186,6 +188,50 @@ class TestHeight:
             assert c.height == naive_height(c)
 
 
+class TestNodes:
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_gate_built_outside_parser(self, kind):
+        gate, singleton = Gate(kind), GATES[kind.value]
+        assert gate is not singleton
+        assert gate.height == kind.height
+        assert gate == singleton
+        assert hash(gate) == hash(singleton)
+        wide = Tensor(gate, singleton)
+        assert wide.height == Tensor(singleton, singleton).height == 2 * kind.height
+        assert Seq(wide, Tensor(singleton, gate)).height == wide.height
+        assert Seq(gate, singleton).height == Seq(singleton, singleton).height == kind.height
+
+    @pytest.mark.parametrize("node", [Gate(GateKind.CX), H, Tensor(H, I), Seq(Tensor(H, I), CX)],
+                             ids=["Gate", "singleton", "Tensor", "Seq"])
+    def test_immutable(self, node):
+        names = ("kind", "height") if type(node) is Gate else ("left", "right", "height")
+        before = [getattr(node, name) for name in names]
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, I)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert [getattr(node, name) for name in names] == before
+
+    def test_repr_is_constructor_syntax(self):
+        assert repr(Seq(Tensor(H, I), CX)) == (
+            "Seq(left=Tensor(left=Gate(kind=<GateKind.H: 'H'>), right=Gate(kind=<GateKind.I: 'I'>)), "
+            "right=Gate(kind=<GateKind.CX: 'CX'>))")
+
+    def test_equality_is_structural(self):
+        assert Tensor(H, Tensor(I, X)) != Tensor(Tensor(H, I), X)
+        assert Tensor(X, Z) != Seq(X, Z)
+        assert Seq(X, Z) != Seq(X, X)
+        assert H != Tensor(H, I) and Tensor(H, I) != H
+        assert {Tensor(H, I): 1}[parse_circuit("H ** I")] == 1
+
+    def test_copy_and_pickle(self):
+        tree = Seq(Tensor(H, I), CX)
+        for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone == tree
+            assert clone.height == 2
+
+
 class TestValidate:
     def test_well_formed(self):
         assert validate(Seq(Tensor(H, I), CX)) == 2
@@ -339,9 +385,16 @@ class TestIterGates:
         assert sum(1 for _ in iter_gates(deep)) == 5001
 
 
+def left_deep(columns, first=Tensor(H, CX)):
+    """A 3-wire left-deep Seq chain of `columns` columns, built bottom-up."""
+    tree = first
+    for k in range(columns - 1):
+        tree = Seq(tree, Tensor(CX, Z) if k % 2 else Tensor(X, Tensor(I, H)))
+    return tree
+
+
 class TestDeepInputs:
-    """Parser and unparse have no recursion-depth limit. Trees are compared
-    by gate order and height, since dataclass == recurses."""
+    """Parser, unparse, ==, hash() and repr() have no recursion-depth limit."""
 
     def test_deeply_nested_parentheses(self):
         depth = 10**5
@@ -360,12 +413,23 @@ class TestDeepInputs:
         assert unparse(tree) == text
 
     def test_left_deep_seq_round_trips(self):
-        columns = 10**4
-        tree = Tensor(H, CX)
-        for k in range(columns - 1):
-            tree = Seq(tree, Tensor(CX, Z) if k % 2 else Tensor(X, Tensor(I, H)))
+        tree = left_deep(10**4)
         text = unparse(tree)
         back = parse_circuit(text)
+        assert back == tree
         assert back.height == tree.height == 3
         assert list(iter_gates(back)) == list(iter_gates(tree))
         assert unparse(back) == text
+
+    def test_deep_trees_compare_hash_and_print(self):
+        a, b = left_deep(10**4), left_deep(10**4)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        text = repr(a)
+        assert text.startswith("Seq(left=Seq(left=Seq(left=")
+        assert text.endswith("right=Gate(kind=<GateKind.H: 'H'>))))")
+        assert parse_circuit(unparse(a)) == a
+        # differs only in the first gate, 10^4 Seq nodes down
+        assert a != left_deep(10**4, first=Tensor(X, CX))
+        assert a != left_deep(10**4 - 1)

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
 from qent.circuit import parse_circuit, unparse
 from qent.cli import _soundness_doc, _state_text, document_to_state, main, state_to_document
@@ -199,6 +204,21 @@ class TestAnalyze:
                 code, out, _ = run(capsys, ["analyze", path, "--format", fmt, "--trace"])
                 runs.add((fmt, out))
         assert len(runs) == 2  # one distinct output per format
+
+    def test_deterministic_across_processes(self, qc):
+        """GateKind hashes by identity and str hashes are salted per process,
+        so each run gets a fresh interpreter with its own hash seed."""
+        path = qc(unparse(random_circuit(random.Random(12), 7, 14)))
+        src = str(Path(qent.__file__).resolve().parent.parent)
+        for argv in (["analyze", path, "--trace", "--format", "json"], ["compare", path]):
+            outputs = []
+            for seed in ("1", "2"):
+                env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+                done = subprocess.run([sys.executable, "-m", "qent.cli", *argv], env=env,
+                                      capture_output=True, check=True, timeout=60)
+                outputs.append(done.stdout)
+            assert outputs[0] == outputs[1]
+            assert outputs[0]
 
 
 class TestTraceWriters:
