@@ -12,6 +12,11 @@ override. `#` starts a comment that runs to the end of the line. A word
 Unicode whitespace separates tokens. The command line drops a leading UTF-8
 byte-order mark from a file before parsing it.
 
+The parser tokenizes with one `str.split()`, once comments are dropped and
+parentheses and `**` are spaced out. The regex `_TOKEN` defines the tokens;
+it runs only on a text with a chunk that is no known token, to find the
+first bad token and its line and column.
+
 The height of a circuit is the number of wires it spans. Single-qubit
 gates have height 1, SW and CX height 2, a tensor stacks heights, and a
 sequence keeps the height of its left operand. A circuit is well formed
@@ -208,11 +213,25 @@ class ValidationError(Exception):
         self.column = column
 
 
-# One match per token: `**`, a parenthesis, a word (a letter, then letters or
-# digits), or any other non-space character, which is always an error. A
-# comment matches with the group empty and is dropped; whitespace never matches.
+# The reference lexer. One match per token: `**`, a parenthesis, a word (a
+# letter, then letters or digits), or any other non-space character, which is
+# always an error. A comment matches with the group empty and is dropped;
+# whitespace never matches. parse_circuit splits with _tokens first and runs
+# it only on a text with an unknown chunk; _position runs it to place errors.
 _TOKEN = re.compile(r"#.*|(\*\*|[()]|[^\W\d_][^\W_]*|\S)")
+_COMMENT = re.compile(r"#.*")
 _KNOWN = {*GATES, "oo", "**", "(", ")"}
+
+
+def _tokens(text: str) -> list[str]:
+    """The chunks of text between whitespace, parentheses and `**`, with
+    comments dropped. When every chunk is in _KNOWN the list equals the
+    tokens _TOKEN finds; otherwise some _TOKEN token is unknown too. (A
+    known word is ASCII letters, which _TOKEN ends at any non-word
+    character, and the split spaces out the other known tokens.)"""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    return text.replace("(", " ( ").replace(")", " ) ").replace("**", " ** ").split()
 
 
 def _position(text: str, k: int) -> tuple[int, int]:
@@ -234,14 +253,19 @@ def parse_circuit(text: str) -> CircuitAst:
     once its right operand is complete. So `H oo CX oo` is a mismatch at
     1:3, not an unexpected end of input.
 
+    The tokens are the chunks of one str.split() (_tokens). A text with an
+    unknown chunk is tokenized again with the regex _TOKEN, which names the
+    first bad token and places it, so diagnostics are the regex lexer's.
+
     The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
     atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
     an explicit stack holding, per open "(", the enclosing sequence and
     tensor built so far and the enclosing level's last `oo`, so nesting
     depth is unbounded.
     """
-    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    tokens = _tokens(text)
     if not _KNOWN.issuperset(tokens):
+        tokens = [tok for tok in _TOKEN.findall(text) if tok]
         k, word = next((k, tok) for k, tok in enumerate(tokens) if tok not in _KNOWN)
         c = word[0]  # a regex word may start with a non-letter such as '²'
         if c == "*":
@@ -306,21 +330,21 @@ def iter_gates(circuit: CircuitAst) -> Iterator[tuple[Gate, int]]:
     """Yield (gate, base wire index) in analysis order.
 
     Seq runs left then right at the same base; Tensor offsets the right
-    child by the left child's height. Iterative, so arbitrarily deep
-    trees are fine.
+    child by the left child's height. Each step pops a subtree with its base
+    and runs down its left spine to the gate it starts with, pushing the
+    right child of every node it passes with that child's base; no left
+    child is ever pushed. Iterative, so arbitrarily deep trees are fine.
     """
     stack: list[tuple[CircuitAst, int]] = [(circuit, 0)]
     while stack:
         node, q = stack.pop()
         t = type(node)
-        if t is Gate:
-            yield node, q
-        elif t is Seq:
-            stack.append((node.right, q))
-            stack.append((node.left, q))
-        else:
-            stack.append((node.right, q + node.left.height))
-            stack.append((node.left, q))
+        while t is not Gate:
+            left = node.left
+            stack.append((node.right, q) if t is Seq else (node.right, q + left.height))
+            node = left
+            t = type(node)
+        yield node, q
 
 
 _PREC = {Seq: 1, Tensor: 2}

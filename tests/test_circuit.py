@@ -14,8 +14,11 @@ from qent.circuit import (
     GATES,
     H,
     I,
+    SW,
     X,
     Z,
+    _KNOWN,
+    _TOKEN,
     CircuitSyntaxError,
     Gate,
     GateKind,
@@ -24,6 +27,7 @@ from qent.circuit import (
     ValidationError,
     iter_gates,
     parse_circuit,
+    _tokens,
     unparse,
     validate,
 )
@@ -144,6 +148,22 @@ class TestParse:
             parse_circuit("H I")
 
 
+def regex_tokens(text):
+    return [tok for tok in _TOKEN.findall(text) if tok]
+
+
+def outcome(text):
+    """The tree parse_circuit returns for text, or the type, message, line
+    and column of the error it raises."""
+    try:
+        return parse_circuit(text)
+    except (CircuitSyntaxError, ValidationError) as err:
+        return type(err), err.message, err.line, err.column
+
+
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
 class TestLexer:
     @pytest.mark.parametrize("text, expected", [
         ("H²", (1, 1, "unknown token 'H²'")),
@@ -153,6 +173,12 @@ class TestLexer:
         ("H\u00a0**\x0cX", Tensor(H, X)),
         ("H\u2028Q", (1, 3, "unknown token 'Q'")),  # a line separator is one column
         ("H oo # c", (1, 9, "expected gate or '(' (unexpected end of input)")),
+        ("X**Z", Tensor(X, Z)),  # operators and parentheses need no spaces
+        ("(H)oo(X)", Seq(H, X)),
+        ("(H**X)oo(CX)#c", Seq(Tensor(H, X), CX)),
+        ("H#c\nooX", (2, 1, "unknown token 'ooX'")),  # a word runs to the next non-word character
+        ("* *", (1, 1, "expected '**' (single '*' is not an operator)")),
+        ("H_X", (1, 2, "unexpected character '_'")),
     ])
     def test_edge_cases(self, text, expected):
         if not isinstance(expected, tuple):
@@ -161,6 +187,42 @@ class TestLexer:
         with pytest.raises(CircuitSyntaxError) as err:
             parse_circuit(text)
         assert (err.value.line, err.value.column, err.value.message) == expected
+
+    # pieces of the differential corpus
+    KNOWN = [*GATES, "oo", "**", "(", ")", " "]
+    ODD = ["*", "#", "#c\n", "\n", "\r", "H2", "H_X", "_", "2", "\u00b2H", "\uff28", "H\u0301",
+           "o", "Q", "x", *SPACES]
+    FIXED = ["H#c\nX", "H oo X # c", "H#c\rX", "H\r**\rX", "X**Y", "(H)oo(X)", "***", "* *",
+             "****", "H2", "H_X", "\u00b2H", "\uff28", "H\u0301", "H\u0301 ** X", ""]
+
+    def corpus(self):
+        yield from self.FIXED
+        for space in SPACES:  # every character str.split() splits on
+            yield f"H{space}**{space}X"
+            yield f"{space}(CX){space}oo{space}SW#{space}c"
+        rng = random.Random(12)
+        for _ in range(20_000):
+            yield "".join(rng.choice(self.ODD if rng.random() < 0.2 else self.KNOWN)
+                          for _ in range(rng.randint(1, 12)))
+
+    def test_split_path_matches_regex(self, monkeypatch):
+        """_tokens, the split tokenizer parse_circuit runs first, against the
+        reference regex _TOKEN: wherever all of its chunks are known tokens
+        they are the regex's tokens, and every parse ends as a regex-only
+        parse does."""
+        texts = list(self.corpus())
+        split_taken = 0
+        for text in texts:
+            chunks = _tokens(text)
+            if _KNOWN.issuperset(chunks):
+                split_taken += 1
+                assert chunks == regex_tokens(text), text
+        assert split_taken > len(texts) // 10
+        results = [outcome(text) for text in texts]
+        with monkeypatch.context() as m:
+            m.setattr("qent.circuit._tokens", regex_tokens)
+            assert [outcome(text) for text in texts] == results
+        assert sum(type(r) is not tuple for r in results) > 500
 
 
 class TestHeight:
@@ -365,17 +427,24 @@ class TestIterGates:
         ]
 
     def test_gate_count_equals_leaves(self):
+        """Not only one gate per leaf: the whole (kind, wire) list equals a
+        recursive walk's."""
+
+        def walk(node, q=0):
+            """Recursive reference: (kind, base wire) of every leaf, left to right."""
+            if isinstance(node, Gate):
+                return [(node.kind, q)]
+            offset = 0 if type(node) is Seq else naive_height(node.left)
+            return walk(node.left, q) + walk(node.right, q + offset)
+
+        right_deep = Seq(H, Seq(X, Seq(Z, I)))
+        wide_right_deep = Tensor(H, Tensor(CX, Tensor(I, Tensor(SW, X))))
+        tensor_of_seqs = Tensor(Seq(Tensor(H, I), CX), Tensor(Seq(X, Seq(Z, H)), Seq(SW, Tensor(I, X))))
         rng = random.Random(5)
-        for _ in range(100):
-            n, cols = rng.randint(1, 5), rng.randint(1, 6)
-            c = random_circuit(rng, n, cols)
-
-            def leaves(node):
-                if isinstance(node, Gate):
-                    return 1
-                return leaves(node.left) + leaves(node.right)
-
-            assert len(list(iter_gates(c))) == leaves(c)
+        circuits = [right_deep, wide_right_deep, tensor_of_seqs,
+                    *(random_circuit(rng, rng.randint(1, 5), rng.randint(1, 6)) for _ in range(100))]
+        for c in circuits:
+            assert [(g.kind, q) for g, q in iter_gates(c)] == walk(c)
 
     def test_no_recursion_on_deep_circuits(self):
         deep = parse_circuit("X")
