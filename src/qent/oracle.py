@@ -3,7 +3,10 @@
 Ground truth for differential testing of the static analysis. States are
 dense complex vectors of length 2^n with qubit 0 as the most significant
 bit of the basis index, matching left-to-right ket notation. Every gate
-comes from one unitary table and every check uses one tolerance, EPS.
+comes from one unitary table, goes through one kernel on contiguous wires,
+and every check uses one tolerance, EPS. simulate fuses each wire's run of
+single-qubit gates into the next two-qubit gate on that wire, so its passes
+over the state grow with the CX/SW gates plus n, not with all gates.
 Everything here is exponential in n and guarded by a qubit limit (default
 12).
 
@@ -56,6 +59,7 @@ _UNITARY = {
     GateKind.CX: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
     GateKind.SW: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
 }
+_EYE2 = _UNITARY[GateKind.I]
 
 
 class QubitLimitError(ValueError):
@@ -97,42 +101,81 @@ class DenseState:
         return DenseState(self.n + other.n, np.kron(self.amps, other.amps))
 
 
-def _apply(psi: np.ndarray, n: int, kind: GateKind, wires: tuple[int, ...]) -> np.ndarray:
-    """The 2^n amplitudes psi, in shape (2,) * n, with kind's unitary applied
-    at wires; the first wire is the most significant bit of the matrix index."""
-    k = len(wires)
-    u = _UNITARY[kind].reshape((2,) * (2 * k))
-    out = np.tensordot(u, psi.reshape((2,) * n), axes=(range(k, 2 * k), wires))
-    return np.moveaxis(out, range(k), wires)
+def _apply(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """The flat amplitudes psi with the 2^k x 2^k matrix u applied at wires
+    q, ..., q + k - 1; wire q is the most significant bit of u's index.
+
+    One matmul over psi as (wires above, wires acted on, wires below),
+    batched over the shorter outer index: numpy makes one small product
+    per batch item, and 2^q of them near the last wire cost more than the
+    arithmetic.
+    """
+    above = 1 << q
+    psi = psi.reshape(above, len(u), -1)
+    if above <= psi.shape[2]:
+        return (u @ psi).reshape(-1)
+    return (psi.transpose(2, 0, 1) @ u.T).transpose(1, 2, 0).reshape(-1)
+
+
+def _apply_pair(state: DenseState, kind: GateKind, i: int, j: int) -> DenseState:
+    """Apply a two-wire gate at wires (i, j), i first: both axes are moved
+    to the front, the gate applied at wire 0, and the axes moved back."""
+    shape = (2,) * state.n
+    psi = np.moveaxis(state.amps.reshape(shape), (i, j), (0, 1))
+    psi = _apply(psi.reshape(-1), _UNITARY[kind], 0)
+    return DenseState(state.n, np.moveaxis(psi.reshape(shape), (0, 1), (i, j)))
 
 
 def apply_single(state: DenseState, kind: GateKind, q: int) -> DenseState:
     """Apply a single-qubit unitary at wire q."""
-    return DenseState(state.n, _apply(state.amps, state.n, kind, (q,)))
+    return DenseState(state.n, _apply(state.amps, _UNITARY[kind], q))
 
 
 def apply_cx(state: DenseState, control: int, target: int) -> DenseState:
     """Apply CX with arbitrary control/target wires."""
     if control == target:
         raise ValueError("cx control and target must differ")
-    return DenseState(state.n, _apply(state.amps, state.n, GateKind.CX, (control, target)))
+    return _apply_pair(state, GateKind.CX, control, target)
 
 
 def apply_swap(state: DenseState, i: int, j: int) -> DenseState:
-    return DenseState(state.n, _apply(state.amps, state.n, GateKind.SW, (i, j)))
+    return _apply_pair(state, GateKind.SW, i, j)
 
 
 def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> DenseState:
-    """Run the circuit on |00...0>, applying gates in analysis order."""
+    """Run the circuit on |00...0>, applying gates in analysis order.
+
+    Each wire keeps the product of the single-qubit gates it has met since
+    its last two-qubit gate. A CX/SW at (q, q + 1) takes both wires'
+    products into its 4x4 matrix and makes one pass over the state; the
+    products left at the end make one pass each. I is skipped. Raises
+    MemoryError, before allocating, when 2^n amplitudes cannot be indexed.
+    """
     n = validate(circuit)
     if n > max_qubits:
         raise QubitLimitError(f"{n} qubits exceeds the simulation limit of {max_qubits}")
+    if 2 ** n * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n} qubits: 2^{n} amplitudes cannot be indexed")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
+    pending: dict[int, np.ndarray] = {}
     for gate, q in iter_gates(circuit):
-        if gate.kind is GateKind.I:
+        kind = gate.kind
+        if kind is GateKind.I:
             continue
-        psi = _apply(psi, n, gate.kind, tuple(range(q, q + gate.height)))
+        u = _UNITARY[kind]
+        if len(u) == 2:
+            if q in pending:
+                u = u @ pending[q]
+            pending[q] = u
+            continue
+        upper, lower = pending.pop(q, _EYE2), pending.pop(q + 1, _EYE2)
+        if upper is not _EYE2 or lower is not _EYE2:
+            # kron(upper, lower) by broadcasting; np.kron costs more than a pass
+            u = u @ (upper[:, None, :, None] * lower[None, :, None, :]).reshape(4, 4)
+        psi = _apply(psi, u, q)
+    for q, u in pending.items():
+        psi = _apply(psi, u, q)
     return DenseState(n, psi)
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -136,6 +137,23 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err == "error: 30 qubits: not enough memory for the exact oracle\n"
+
+    @pytest.mark.parametrize("wires", [59, 64, 70])
+    def test_check_oracle_unindexable_state_exits_2(self, qc, capsys, wires):
+        # 2^wires amplitudes of 16 bytes exceed the largest array numpy can
+        # index; the oracle refuses them before allocating anything
+        path = qc(" ** ".join(["I"] * wires))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["analyze", path, "--check-oracle",
+                                          "--max-oracle-qubits", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {wires} qubits: not enough memory for the exact oracle\n"
+        assert peak < 1 << 20
 
     def test_parse_error_exit_1(self, qc, capsys):
         code, out, err = run(capsys, ["analyze", qc("H **")])

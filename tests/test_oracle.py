@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qent.oracle
-from qent.analyzer import analyze
+from qent.analyzer import AnalysisMode, analyze
 from qent.circuit import Gate, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from qent.oracle import (
@@ -402,6 +402,91 @@ class TestFinestCost:
             calls.clear()
             assert finest_separable_partition(state) == want
             assert len(calls) <= len(factors) - 1
+
+
+def fold(circuit):
+    """The circuit's state, one gate at a time through the index-level API."""
+    state = DenseState.zero(circuit.height)
+    for gate, q in iter_gates(circuit):
+        if gate.kind is GateKind.CX:
+            state = apply_cx(state, q, q + 1)
+        elif gate.kind is GateKind.SW:
+            state = apply_swap(state, q, q + 1)
+        else:
+            state = apply_single(state, gate.kind, q)
+    return state
+
+
+def count_passes(monkeypatch):
+    """A list that grows by one on every pass of the gate kernel over a state."""
+    calls = []
+    kernel = qent.oracle._apply
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(qent.oracle, "_apply", counted)
+    return calls
+
+
+def two_qubit_gates(circuit):
+    return sum(gate.kind in (GateKind.CX, GateKind.SW) for gate, _ in iter_gates(circuit))
+
+
+PAULI_T = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.T)
+T_HEAVY = PAULI_T + (GateKind.T,) * 4
+SINGLE_NON_I = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.T)
+
+
+def fused_cases(seed):
+    """Circuits at the benchmark's widths for the fused simulator."""
+    rng = random.Random(seed)
+    for wires in range(8, 13):
+        yield random_circuit(rng, wires, rng.randint(8, 16))
+        yield Seq(ghz_circuit(rng, wires, T_HEAVY), random_circuit(rng, wires, 4, T_HEAVY))
+        # ends on a run of single-qubit gates: the final per-wire flush
+        tail = random_circuit(rng, wires, rng.randint(1, 4), SINGLE_NON_I)
+        yield Seq(random_circuit(rng, wires, 6), tail)
+    yield random_circuit(rng, 10, 4, [GateKind.I])
+    yield random_circuit(rng, 1, 12)
+
+
+class TestFusedSimulate:
+    """simulate fuses single-qubit runs; its state is the gate-by-gate one."""
+
+    def test_equals_gate_by_gate(self):
+        cases = list(fused_cases(103))
+        assert len(cases) == 17
+        for c in cases:
+            got, want = simulate(c), fold(c)
+            assert np.abs(got.amps - want.amps).max() <= 1e-12
+            assert finest_separable_partition(got) == finest_separable_partition(want)
+            assert levels_oracle(got) == levels_oracle(want)
+            assert [basis_oracle(got, q) for q in range(c.height)] == [
+                basis_oracle(want, q) for q in range(c.height)]
+            for mode in AnalysisMode:
+                st = analyze(c, mode)
+                assert (check_soundness(st, got).violations
+                        == check_soundness(st, want).violations)
+
+    def test_ghz_ladder_with_long_tail_cost(self, monkeypatch):
+        rng = random.Random(107)
+        c = ghz_circuit(rng, 12, PAULI_T)
+        for _ in range(30):
+            c = Seq(c, random_column(rng, 12, PAULI_T))
+        assert two_qubit_gates(c) == 11
+        calls = count_passes(monkeypatch)
+        simulate(c)
+        assert 0 < len(calls) <= 11 + 12
+        assert set(calls) == {2 ** 12}
+
+    def test_oracle_layouts_cost(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        for c in oracle_layouts(109):
+            calls.clear()
+            simulate(c)
+            assert len(calls) <= two_qubit_gates(c) + c.height
 
 
 def levels_by_definition(state):
