@@ -4,17 +4,18 @@
                       [--format text|json] [--check-oracle] [--max-oracle-qubits N]
     qent compare FILE
 
-Exit codes: 0 success, 1 parse error, 2 validation error (a sequence of
-circuits of different heights, reported at the `oo`'s line:col; or oracle
-qubit limit exceeded, or too little memory for the oracle), 3 soundness
-violation. Diagnostics go to stderr; results to stdout. Output is
-deterministic for a given input file and flags.
+Exit codes: 0 success, 1 parse error or stdout closed early (no traceback),
+2 validation error (a sequence of circuits of different heights, reported
+at the `oo`'s line:col; or oracle qubit limit exceeded, or too little
+memory for the oracle), 3 soundness violation. Diagnostics go to stderr;
+results to stdout. Output is deterministic for a given input file and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations
 
@@ -163,8 +164,7 @@ def _cmd_analyze(args) -> int:
     report = None
     if args.check_oracle:
         try:
-            exact = simulate(circuit, max_qubits=args.max_oracle_qubits)
-            report = check_soundness(state, exact, max_qubits=args.max_oracle_qubits)
+            report = check_soundness(state, simulate(circuit, max_qubits=args.max_oracle_qubits))
         except QubitLimitError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -221,6 +221,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """An argparse type; it names the type in "invalid positive_int value"."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qent",
@@ -240,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
     p_analyze.add_argument("--check-oracle", action="store_true",
                            help="simulate the circuit exactly and verify the analysis")
-    p_analyze.add_argument("--max-oracle-qubits", type=int, default=DEFAULT_QUBIT_LIMIT,
-                           metavar="N")
+    p_analyze.add_argument("--max-oracle-qubits", type=positive_int,
+                           default=DEFAULT_QUBIT_LIMIT, metavar="N",
+                           help="widest circuit --check-oracle simulates (default: %(default)s)")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_compare = sub.add_parser("compare",
@@ -253,7 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed reader raises here, not at exit
+    except BrokenPipeError:
+        # the signal module docs' recipe: what is left goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ comes from one unitary table, goes through one kernel on contiguous wires,
 and every check uses one tolerance, EPS. simulate fuses each wire's run of
 single-qubit gates into the next two-qubit gate on that wire, so its passes
 over the state grow with the CX/SW gates plus n, not with all gates.
-Everything here is exponential in n and guarded by a qubit limit (default
-12).
+Everything here is exponential in n. Only simulate turns a circuit into 2^n
+amplitudes, so it alone refuses circuits over its qubit limit (default 12).
 
 Checks provided:
 
@@ -63,7 +63,7 @@ _EYE2 = _UNITARY[GateKind.I]
 
 
 class QubitLimitError(ValueError):
-    """Raised when an exact check is asked for more qubits than the limit."""
+    """Raised when simulate is asked for more qubits than its limit."""
 
 
 @dataclass
@@ -78,7 +78,7 @@ class DenseState:
         if self.amps.shape != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {self.amps.shape}")
         norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails it too
             raise ValueError(f"state is not normalized (norm {norm})")
 
     @classmethod
@@ -90,12 +90,13 @@ class DenseState:
     @classmethod
     def from_amplitudes(cls, amps, normalize: bool = False) -> DenseState:
         amps = np.asarray(amps, dtype=complex).reshape(-1)
-        n = int(round(np.log2(len(amps))))
-        if 2 ** n != len(amps):
-            raise ValueError(f"amplitude count {len(amps)} is not a power of two")
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return cls(n, amps)
+        count = len(amps)
+        if count < 1 or count & (count - 1):
+            raise ValueError(f"amplitude count {count} is not a power of two")
+        if normalize:  # a zero, infinite or NaN norm is left for __post_init__
+            norm = np.linalg.norm(amps)
+            amps = amps / norm if 0 < norm < np.inf else amps
+        return cls(count.bit_length() - 1, amps)
 
     def tensor(self, other: DenseState) -> DenseState:
         return DenseState(self.n + other.n, np.kron(self.amps, other.amps))
@@ -156,8 +157,7 @@ def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> Dens
         raise QubitLimitError(f"{n} qubits exceeds the simulation limit of {max_qubits}")
     if 2 ** n * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"{n} qubits: 2^{n} amplitudes cannot be indexed")
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
+    psi = DenseState.zero(n).amps
     pending: dict[int, np.ndarray] = {}
     for gate, q in iter_gates(circuit):
         kind = gate.kind
@@ -181,13 +181,11 @@ def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> Dens
 
 def _bipartition_matrix(state: DenseState, subset: tuple[int, ...]) -> np.ndarray:
     rest = tuple(q for q in range(state.n) if q not in subset)
-    psi = state.amps.reshape([2] * state.n)
-    psi = np.transpose(psi, subset + rest)
-    return psi.reshape(2 ** len(subset), 2 ** len(rest))
+    psi = np.transpose(state.amps.reshape((2,) * state.n), subset + rest)
+    return psi.reshape(2 ** len(subset), -1)
 
 
-def finest_separable_partition(state: DenseState,
-                               max_qubits: int = DEFAULT_QUBIT_LIMIT) -> list[list[int]]:
+def finest_separable_partition(state: DenseState) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
     Qubits whose two-qubit marginal is not the product of their one-qubit
@@ -198,19 +196,13 @@ def finest_separable_partition(state: DenseState,
     cut is one block. Invariant under global phase.
     """
     n = state.n
-    if n > max_qubits:
-        raise QubitLimitError(f"{n} qubits exceeds the oracle limit of {max_qubits}")
-    psi = state.amps.reshape((2,) * n)
-
-    def marginal(*qubits):
-        m = np.moveaxis(psi, qubits, range(len(qubits))).reshape(2 ** len(qubits), -1)
-        return m @ m.conj().T
-
-    one = [marginal(q) for q in range(n)]
+    one = [m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))]
     label = list(range(n))
     for i, j in combinations(range(n), 2):
-        if label[i] != label[j] and np.abs(
-                marginal(i, j) - np.kron(one[i], one[j])).max() > PAIR_EPS:
+        if label[i] == label[j]:
+            continue
+        m = _bipartition_matrix(state, (i, j))
+        if np.abs(m @ m.conj().T - np.kron(one[i], one[j])).max() > PAIR_EPS:
             old, new = label[j], label[i]
             label = [new if lab == old else lab for lab in label]
     components: dict[int, list[int]] = {}
@@ -240,22 +232,18 @@ def finest_separable_partition(state: DenseState,
     return sorted(blocks)
 
 
-def levels_oracle(state: DenseState,
-                  max_qubits: int = DEFAULT_QUBIT_LIMIT) -> set[tuple[int, int]]:
+def levels_oracle(state: DenseState) -> set[tuple[int, int]]:
     """Pairs (i, j), i < j, of qubits that are genuinely on the same level.
 
     Both qubits must be in superposition and their bit values must agree
     in every substate or differ in every substate. The relation is
     transitive, as agreement composes; the tests check that it is.
     """
-    n = state.n
-    if n > max_qubits:
-        raise QubitLimitError(f"{n} qubits exceeds the oracle limit of {max_qubits}")
     # one row of bits per substate, qubit 0 first; flips marks where a bit
     # differs from the first row's, and two columns agree or differ in every
     # row exactly when their flips are equal
     support = np.flatnonzero(np.abs(state.amps) > EPS)
-    bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (support[:, None] >> np.arange(state.n - 1, -1, -1)) & 1
     flips = bits ^ bits[0]
     by_flips: dict[bytes, list[int]] = {}
     for q in np.flatnonzero(flips.any(axis=0)):
@@ -269,12 +257,9 @@ class ConcreteBasis(Enum):
     NEITHER = "neither"
 
 
-def basis_oracle(state: DenseState, qubit: int,
-                 max_qubits: int = DEFAULT_QUBIT_LIMIT) -> ConcreteBasis:
+def basis_oracle(state: DenseState, qubit: int) -> ConcreteBasis:
     """Classify a qubit's basis; entangled qubits are NEITHER."""
     n = state.n
-    if n > max_qubits:
-        raise QubitLimitError(f"{n} qubits exceeds the oracle limit of {max_qubits}")
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for n={n}")
     if n == 1:
@@ -316,8 +301,7 @@ class SoundnessReport:
         return not self.violations
 
 
-def check_soundness(st: AbstractState, state: DenseState,
-                    max_qubits: int = DEFAULT_QUBIT_LIMIT) -> SoundnessReport:
+def check_soundness(st: AbstractState, state: DenseState) -> SoundnessReport:
     """Compare an AbstractState against the exact state.
 
     entanglement_ok: every genuinely non-separable pair shares a block in
@@ -331,7 +315,7 @@ def check_soundness(st: AbstractState, state: DenseState,
         raise ValueError(f"analysis has {st.n} qubits, state has {state.n}")
     violations: list[tuple[str, object, str]] = []
 
-    for block in finest_separable_partition(state, max_qubits):
+    for block in finest_separable_partition(state):
         for i, j in combinations(block, 2):
             if not st.sep.same_block(i, j):
                 violations.append((
@@ -339,7 +323,7 @@ def check_soundness(st: AbstractState, state: DenseState,
                     f"qubits {i} and {j} are not separable but the analysis splits them",
                 ))
 
-    true_levels = levels_oracle(state, max_qubits)
+    true_levels = levels_oracle(state)
     for block in st.lvl.blocks():
         for i, j in combinations(block, 2):
             if (i, j) not in true_levels:
@@ -351,7 +335,7 @@ def check_soundness(st: AbstractState, state: DenseState,
     expected = {BasisLabel.S: ConcreteBasis.STANDARD, BasisLabel.D: ConcreteBasis.DIAGONAL}
     for q, label in enumerate(st.labels):
         want = expected.get(label)
-        if want is not None and basis_oracle(state, q, max_qubits) is not want:
+        if want is not None and basis_oracle(state, q) is not want:
             violations.append((
                 "label", q,
                 f"qubit {q} is labeled {label.value} but is not in the {want.value} basis",

@@ -126,6 +126,11 @@ class TestAnalyze:
             "analyze", qc(text), "--check-oracle", "--max-oracle-qubits", "4"])
         assert code == 2
         assert "exceeds" in err
+        for limit in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", qc(text), "--check-oracle", "--max-oracle-qubits", limit])
+            assert exc.value.code == 2
+            assert f"invalid positive_int value: '{limit}'" in capsys.readouterr().err
 
     def test_check_oracle_out_of_memory_exits_2(self, qc, capsys, monkeypatch):
         def out_of_memory(circuit, max_qubits):
@@ -237,6 +242,25 @@ class TestAnalyze:
                 outputs.append(done.stdout)
             assert outputs[0] == outputs[1]
             assert outputs[0]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reader_closed_after_first_line(self, qc, fmt):
+        """As `qent analyze FILE --trace | head -1`: the trace, several MB,
+        outgrows the pipe, so the writer meets the closed reader."""
+        path = qc(unparse(random_circuit(random.Random(14), 40, 250)))
+        src = str(Path(qent.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qent.cli", "analyze", path, "--trace", "--format", fmt],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestTraceWriters:
