@@ -55,7 +55,7 @@ class AnalysisMode(Enum):
     UNSAFE_LEVELING = "unsafe-leveling"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     """The state after one gate application.
 
@@ -177,8 +177,9 @@ def analyze_traced(circuit: CircuitAst,
     st = init_state(validate(circuit))
     snap = st.copy()
     steps: list[TraceStep] = []
+    rules = _RULES.get
     for gate, index in iter_gates(circuit):
-        rule = _RULES.get(gate.kind)
+        rule = rules(gate.kind)
         if rule is not None:
             rule(st, index, mode)
             # by value, as the rules mutate labels in place

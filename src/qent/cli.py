@@ -9,6 +9,15 @@ Exit codes: 0 success, 1 parse error or stdout closed early (no traceback),
 at the `oo`'s line:col; or oracle qubit limit exceeded, or too little
 memory for the oracle), 3 soundness violation. Diagnostics go to stderr;
 results to stdout. Output is deterministic for a given input file and flags.
+
+Every state printed (the final state in text and JSON, compare's two lines,
+each trace line and each JSON trace entry) is formatted by one
+`_StateWriter`, made anew for each output. The JSON is written by hand and
+is byte-for-byte `json.dumps(state_to_document(...), indent=2)`; json.dumps
+writes only the fields that are not a state. A trace is O(n x m) bytes for
+n qubits and m gates, but each distinct snapshot and each distinct block is
+rendered once; a step that changes nothing writes its prefix and reuses the
+previous snapshot's text.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import sys
 from itertools import combinations
 
 from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
-from .circuit import CircuitSyntaxError, ValidationError, parse_circuit
+from .circuit import CircuitSyntaxError, GateKind, ValidationError, parse_circuit
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
 from .oracle import (DEFAULT_QUBIT_LIMIT, QubitLimitError, SoundnessReport, check_soundness,
@@ -41,20 +50,6 @@ def _state_fields(state: AbstractState) -> dict:
     }
 
 
-def _blocks_text(blocks: list[list[int]]) -> str:
-    return " ".join("{" + ",".join(str(q) for q in block) + "}" for block in blocks)
-
-
-def _state_text(state: AbstractState) -> list[str]:
-    """The text lines of a state: _state_fields, rendered."""
-    fields = _state_fields(state)
-    return [
-        "labels: " + " ".join(fields["labels"]),
-        "separability: " + _blocks_text(fields["separability"]),
-        "levels: " + _blocks_text(fields["levels"]),
-    ]
-
-
 def state_to_document(state: AbstractState, mode: AnalysisMode,
                       trace: list[TraceStep] | None = None) -> dict:
     """Serialize an analysis result; blocks and members sorted ascending."""
@@ -68,46 +63,131 @@ def state_to_document(state: AbstractState, mode: AnalysisMode,
 def document_to_state(doc: dict) -> AbstractState:
     """Rebuild the AbstractState a document was serialized from."""
     n = doc["qubits"]
+    labels = [BasisLabel(value) for value in doc["labels"]]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} qubits")
     return AbstractState(
-        [BasisLabel(value) for value in doc["labels"]],
+        labels,
         Partition.from_blocks(doc["separability"], n),
         Partition.from_blocks(doc["levels"], n),
     )
+
+
+_PAD = " " * 6  # the indentation of a trace entry's fields in the JSON document
+_LABEL_TEXT = {label: label.value for label in BasisLabel}
+_LABEL_JSON = {label: f'\n{_PAD}  "{label.value}"' for label in BasisLabel}
+_GATE_TEXT = {kind: kind.value for kind in GateKind}
+
+
+def _block_text(block: frozenset[int]) -> str:
+    return "{" + ",".join(map(str, sorted(block))) + "}"
+
+
+def _block_json(block: frozenset[int]) -> str:
+    """A block as an indent=2 JSON list item of a trace entry, newline first."""
+    return f"\n{_PAD}  [" + ",".join(f"\n{_PAD}    {m}" for m in sorted(block)) + f"\n{_PAD}  ]"
+
+
+def _json_list(items) -> str:
+    body = ",".join(items)
+    return f"[{body}\n{_PAD}]" if body else "[]"
+
+
+class _Rendered(dict):
+    """Block -> its text, rendered on first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, block):
+        text = self[block] = self.render(block)
+        return text
+
+
+class _StateWriter:
+    """Formats the states of one output, in text or as JSON fields.
+
+    The blocks of a partition are the distinct entries of its members, which
+    dict.fromkeys keeps in order of least member, as blocks() lists them. Each
+    block is rendered once per writer and kept under the frozenset itself: a
+    freed block's id() could be reused by another block. The JSON is what
+    json.dumps(..., indent=2) writes for state_to_document's state fields in
+    a trace entry.
+    """
+
+    def __init__(self):
+        self.block_text = _Rendered(_block_text)
+        self.block_json = _Rendered(_block_json)
+
+    def text(self, state: AbstractState, sep: str) -> str:
+        """The labels, separability and levels lines, joined by sep."""
+        blocks = self.block_text.__getitem__
+        return (f"labels: {' '.join(map(_LABEL_TEXT.__getitem__, state.labels))}{sep}"
+                f"separability: {' '.join(map(blocks, dict.fromkeys(state.sep.members)))}{sep}"
+                f"levels: {' '.join(map(blocks, dict.fromkeys(state.lvl.members)))}")
+
+    def json(self, state: AbstractState) -> str:
+        """The "labels", "separability" and "levels" fields, from the first
+        key's quote to the last field's closing bracket."""
+        blocks = self.block_json.__getitem__
+        sep = _json_list(map(blocks, dict.fromkeys(state.sep.members)))
+        lvl = _json_list(map(blocks, dict.fromkeys(state.lvl.members)))
+        return (f'"labels": {_json_list(map(_LABEL_JSON.__getitem__, state.labels))},\n'
+                f'{_PAD}"separability": {sep},\n{_PAD}"levels": {lvl}')
 
 
 def _print_text(state: AbstractState, mode: AnalysisMode,
                 trace: list[TraceStep] | None) -> None:
     """Write the result, then the trace line by line, so that the output is
     never held whole; each distinct snapshot is rendered once."""
-    print(f"qubits: {state.n}", f"mode: {mode.value}", *_state_text(state), sep="\n")
+    writer = _StateWriter()
+    print(f"qubits: {state.n}", f"mode: {mode.value}", writer.text(state, "\n"), sep="\n")
     write = sys.stdout.write
+    gates = _GATE_TEXT
     snap = text = None
     for k, step in enumerate(trace or (), 1):
         if step.state is not snap:  # steps that change nothing share a snapshot
-            snap, text = step.state, " | ".join(_state_text(step.state))
-        write(f"step {k}: {step.gate.value}@{step.index} -> {text}\n")
+            snap, text = step.state, writer.text(step.state, " | ") + "\n"
+        write(f"step {k}: {gates[step.gate]}@{step.index} -> ")
+        write(text)
 
 
-def _print_spliced(text: str, trace: list[TraceStep]) -> None:
-    """Print the indent=2 JSON text of a document whose trace is empty with
-    the trace entries put in, as json.dumps of the whole document writes them.
+def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep] | None,
+                report: SoundnessReport | None) -> None:
+    """Print json.dumps(document, indent=2) for state_to_document(state, mode,
+    trace) with "soundness" added when there is a report.
 
-    Each distinct snapshot's fields are encoded once and re-indented from
-    the top level (2 spaces) to the depth of a trace entry (6 spaces). The
-    entries are written one at a time, so the output is never held twice."""
-    head, _, tail = text.partition('\n  "trace": []')
+    json.dumps writes only the fields that are not a state, around two
+    placeholders; the state fields and the trace entries are put in their
+    place by a _StateWriter. Each distinct snapshot is rendered once, and the
+    entries are written one at a time, so the output is never held whole."""
+    head = {"qubits": state.n, "mode": mode.value, "state": 0}
+    if trace is not None:
+        head["trace"] = 0
+    if report is not None:
+        head["soundness"] = _soundness_doc(report)
+    top, _, rest = json.dumps(head, indent=2).partition('"state": 0')
+    middle, _, tail = rest.partition('"trace": 0')
+    writer = _StateWriter()
     write = sys.stdout.write
-    write(head + '\n  "trace": [')
-    snap = body = None
-    sep = "\n"
-    for step in trace:
-        if step.state is not snap:
-            snap = step.state
-            body = json.dumps(_state_fields(snap), indent=2)[1:-2].replace("\n", "\n    ")
-        write(f'{sep}    {{\n      "gate": "{step.gate.value}",\n'
-              f'      "index": {step.index},{body}\n    }}')
-        sep = ",\n"
-    write("\n  ]" + tail + "\n")
+    # the final state's fields, rendered at a trace entry's depth (its blocks
+    # are the last snapshot's) and moved up to the top level, 4 spaces less
+    write(top + writer.json(state).replace("\n    ", "\n") + middle)
+    if trace is not None:
+        write('"trace": [')
+        gates = _GATE_TEXT
+        snap = body = None
+        sep = "\n"
+        for step in trace:
+            if step.state is not snap:
+                snap, body = step.state, writer.json(step.state) + "\n    }"
+            write(f'{sep}    {{\n      "gate": "{gates[step.gate]}",\n'
+                  f'      "index": {step.index},\n      ')
+            write(body)
+            sep = ",\n"
+        write("\n  ]" if trace else "]")
+    write(tail + "\n")
 
 
 def _soundness_doc(report: SoundnessReport) -> dict:
@@ -174,15 +254,7 @@ def _cmd_analyze(args) -> int:
             return EXIT_VALIDATION
 
     if args.format == "json":
-        # the trace entries are spliced into the text, one encoding per snapshot
-        doc = state_to_document(state, mode, None if trace is None else [])
-        if report is not None:
-            doc["soundness"] = _soundness_doc(report)
-        text = json.dumps(doc, indent=2)
-        if trace:
-            _print_spliced(text, trace)
-        else:
-            print(text)
+        _print_json(state, mode, trace, report)
     else:
         _print_text(state, mode, trace)
         if report is not None:
@@ -212,8 +284,9 @@ def _cmd_compare(args) -> int:
         if not with_levels.sep.same_block(i, j)
     )
     print(f"qubits: {with_levels.n}")
-    print("levels:    " + " | ".join(_state_text(with_levels)))
-    print("no-levels: " + " | ".join(_state_text(without)))
+    writer = _StateWriter()
+    print("levels:    " + writer.text(with_levels, " | "))
+    print("no-levels: " + writer.text(without, " | "))
     if delta:
         print("more precise on: " + " ".join(f"({i},{j})" for i, j in delta))
     else:

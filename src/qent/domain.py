@@ -23,6 +23,12 @@ class BasisLabel(Enum):
     D = "d"      # diagonal basis state |+> or |->
     TOP = "top"  # could be anything
 
+    # Members are singletons and == is identity, so an identity hash agrees
+    # with it; it replaces Enum.__hash__, a Python call on every output
+    # table lookup. Its values differ between processes, so no output may
+    # depend on them: no BasisLabel is kept in a set.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -44,6 +50,8 @@ class Partition:
         members: list[frozenset[int] | None] = [None] * n
         for block in blocks:
             listed = sorted(block)  # repeats kept, so a repeat is caught
+            if not listed:
+                raise ValueError("empty block")
             shared = frozenset(listed)
             for m in listed:
                 if not 0 <= m < n:

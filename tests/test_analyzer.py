@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import functools
+import pickle
 import random
 
 import pytest
@@ -321,6 +323,14 @@ class TestModeInvariants:
 
 
 class TestTrace:
+    def test_step_has_slots_and_survives_pickle_and_copy(self):
+        _, steps = analyze_traced(parse_circuit("H ** I oo CX"))
+        step = steps[-1]
+        assert not hasattr(step, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(step)), copy.copy(step), copy.deepcopy(step)):
+            assert (clone.gate, clone.index) == (GateKind.CX, 0)
+            assert state_row(clone.state) == state_row(step.state)
+
     def test_snapshots_are_deep_copies(self):
         _, steps = analyze_traced(parse_circuit("H ** I oo CX"))
         assert [s.gate for s in steps] == [GateKind.H, GateKind.I, GateKind.CX]

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -15,10 +16,10 @@ import pytest
 
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
-from qent.circuit import parse_circuit, unparse
-from qent.cli import _soundness_doc, _state_text, document_to_state, main, state_to_document
+from qent.circuit import GateKind, parse_circuit, unparse
+from qent.cli import _soundness_doc, document_to_state, main, state_to_document
 from qent.oracle import check_soundness, simulate
-from helpers import random_circuit, state_row
+from helpers import ALL_KINDS, random_circuit, state_row
 
 
 @pytest.fixture
@@ -263,37 +264,109 @@ class TestAnalyze:
         assert err == b""
 
 
-class TestTraceWriters:
-    """--trace output against the reference: the document dumped whole, and
-    one step line per gate built from _state_text."""
+def state_text(state, sep):
+    """The text form of a state, from Partition.blocks() and label.value."""
+    def blocks(partition):
+        return " ".join("{" + ",".join(map(str, block)) + "}" for block in partition.blocks())
 
-    @pytest.mark.parametrize("check", [False, True], ids=["plain", "oracle"])
-    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
-    def test_equal_to_reference(self, qc, capsys, mode, check):
-        rng = random.Random(79)
+    return sep.join([
+        "labels: " + " ".join(label.value for label in state.labels),
+        "separability: " + blocks(state.sep),
+        "levels: " + blocks(state.lvl),
+    ])
+
+
+# many SW and CX gates: blocks that persist across snapshots and blocks whose qubits move
+SWAP_HEAVY = [GateKind.SW, GateKind.CX, GateKind.SW, GateKind.CX, GateKind.H, GateKind.T, GateKind.I]
+
+
+class TestTraceWriters:
+    """Output against references that do not use the writers: the document
+    dumped whole by json.dumps, and one line per state or step built by
+    state_text."""
+
+    def check_against_reference(self, qc, capsys, circuit, mode, check):
+        path = qc(unparse(circuit))
         extra = ["--check-oracle"] if check else []
-        for _ in range(200):
-            circuit = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 12))
-            path = qc(unparse(circuit))
-            final, steps = analyze_traced(circuit, mode)
+        for argv_trace in ([], ["--trace"]):
+            if argv_trace:
+                final, steps = analyze_traced(circuit, mode)
+            else:
+                final, steps = analyze(circuit, mode), None
             doc = state_to_document(final, mode, steps)
             if check:
                 doc["soundness"] = _soundness_doc(check_soundness(final, simulate(circuit)))
             code, out, _ = run(capsys, ["analyze", path, "--mode", mode.value, "--format", "json",
-                                        "--trace", *extra])
+                                        *argv_trace, *extra])
             assert code in (0, 3)
             assert out == json.dumps(doc, indent=2) + "\n"
 
-            lines = [f"qubits: {final.n}", f"mode: {mode.value}", *_state_text(final)]
-            lines += [f"step {k}: {step.gate.value}@{step.index} -> "
-                      + " | ".join(_state_text(step.state)) for k, step in enumerate(steps, 1)]
-            code, out, _ = run(capsys, ["analyze", path, "--mode", mode.value, "--trace", *extra])
+            lines = [f"qubits: {final.n}", f"mode: {mode.value}", state_text(final, "\n")]
+            lines += [f"step {k}: {step.gate.value}@{step.index} -> " + state_text(step.state, " | ")
+                      for k, step in enumerate(steps or (), 1)]
+            code, out, _ = run(capsys, ["analyze", path, "--mode", mode.value, *argv_trace, *extra])
             assert code in (0, 3)
             if check:
                 head, _, tail = out.partition("\nsoundness: ")
                 assert head == "\n".join(lines) and tail
             else:
                 assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_equal_to_reference(self, qc, capsys, mode, check):
+        rng = random.Random(79)
+        for _ in range(200):
+            circuit = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 12))
+            self.check_against_reference(qc, capsys, circuit, mode, check)
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_wide_swap_heavy_equal_to_reference(self, qc, capsys, mode):
+        rng = random.Random(83)
+        for k in range(12):
+            kinds = SWAP_HEAVY if k % 3 else ALL_KINDS
+            circuit = random_circuit(rng, rng.randint(20, 64), rng.randint(5, 30), kinds)
+            self.check_against_reference(qc, capsys, circuit, mode, False)
+        for _ in range(12):
+            circuit = random_circuit(rng, rng.randint(8, 12), rng.randint(5, 30), SWAP_HEAVY)
+            self.check_against_reference(qc, capsys, circuit, mode, True)
+
+    def test_compare_equal_to_reference(self, qc, capsys):
+        rng = random.Random(89)
+        for _ in range(40):
+            circuit = random_circuit(rng, rng.randint(1, 64), rng.randint(1, 20), SWAP_HEAVY)
+            code, out, _ = run(capsys, ["compare", qc(unparse(circuit))])
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[1] == "levels:    " + state_text(analyze(circuit, AnalysisMode.LEVELS), " | ")
+            assert lines[2] == "no-levels: " + state_text(analyze(circuit, AnalysisMode.NO_LEVELS),
+                                                          " | ")
+
+
+class TestOutputCost:
+    """A JSON trace is encoded by hand: json.dumps runs once per output,
+    whatever the trace length, and each distinct block is rendered once."""
+
+    def test_json_trace_renders_each_block_once(self, qc, capsys, monkeypatch):
+        import qent.cli as cli
+
+        dumps, renders = [], []
+        shim = types.SimpleNamespace(**vars(json))
+        shim.dumps = lambda *args, **kwargs: dumps.append(1) or json.dumps(*args, **kwargs)
+        block_json = cli._block_json
+        monkeypatch.setattr(cli, "json", shim)
+        monkeypatch.setattr(cli, "_block_json", lambda *args: renders.append(1) or block_json(*args))
+
+        circuit = random_circuit(random.Random(97), 48, 60, SWAP_HEAVY)
+        final, steps = analyze_traced(circuit)
+        blocks = {block for step in steps for p in (step.state.sep, step.state.lvl)
+                  for block in p.members}
+        code, out, _ = run(capsys, ["analyze", qc(unparse(circuit)), "--trace", "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(state_to_document(final, AnalysisMode.LEVELS, steps), indent=2) + "\n"
+        assert len(steps) > 1000 and len({id(step.state) for step in steps}) > 50
+        assert len(dumps) <= 1
+        assert 0 < len(renders) <= len(blocks)
 
 
 class TestCompare:
@@ -388,3 +461,11 @@ class TestDocumentHelpers:
             doc = state_to_document(st, mode)
             rebuilt = document_to_state(json.loads(json.dumps(doc)))
             assert state_row(rebuilt) == state_row(st)
+
+    @pytest.mark.parametrize("doc", [
+        {"qubits": 2, "labels": ["s"], "separability": [[0], [1]], "levels": [[0], [1]]},
+        {"qubits": 2, "labels": ["s", "s"], "separability": [[0], [], [1]], "levels": [[0], [1]]},
+    ], ids=["labels-short", "empty-block"])
+    def test_inconsistent_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            document_to_state(doc)

@@ -74,6 +74,8 @@ class TestEncoding:
             Partition.from_blocks([[0, 5]], 2)
         with pytest.raises(ValueError, match="qubit 0 appears in more than one block"):
             Partition.from_blocks([[0, 0], [1]], 2)
+        with pytest.raises(ValueError, match="empty block"):
+            Partition.from_blocks([[0], [], [1]], 2)
 
     def test_validate_rejects_inconsistent_members(self):
         b01, b0, b1 = frozenset((0, 1)), frozenset((0,)), frozenset((1,))
@@ -232,6 +234,14 @@ class TestExhaustiveSmallScope:
                         assert (got is p) == (got == p)
                     cases += 1
         assert cases == {1: 1, 2: 8, 3: 45, 4: 240, 5: 1300, 6: 7308}[n]
+
+
+class TestBasisLabel:
+    def test_identity_hash_and_lookup_by_value(self):
+        for label in BasisLabel:
+            assert hash(label) == object.__hash__(label)
+        assert BasisLabel("top") is TOP
+        assert BasisLabel("s") is S
 
 
 class TestAbstractState:
