@@ -28,9 +28,10 @@ the wire directly below, i + 1 (use SW chains to reach other layouts).
 
 Tree nodes are immutable `__slots__` objects: assigning an attribute raises
 AttributeError. Each node stores its height, set once when it is built, so
-reading it is O(1). `==`, `hash()` and `repr()` walk a tree with an explicit
-stack, so they, like the parser, `iter_gates` and `unparse`, have no depth
-limit.
+reading it is O(1). A tree's value is its canonical text: `==` and `hash()`
+compare and hash `unparse(c)`, and pickling and `copy` rebuild a tree with
+`parse_circuit(unparse(c))`. These, `repr()`, `iter_gates` and the parser
+walk a tree with an explicit stack or loop, so none has a depth limit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import islice
-from operator import is_ as _is
 from typing import Iterator, Union
 
 
@@ -63,50 +63,28 @@ class GateKind(Enum):
         return 2 if self is GateKind.SW or self is GateKind.CX else 1
 
 
-def _immutable(self, name: str, *value) -> None:
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Node:
+    """A Gate, Tensor or Seq. A tree's value is its canonical text: the parser
+    rebuilds every tree from unparse's output, so that text determines the
+    tree, and ==, hash() and pickling go through unparse."""
 
+    __slots__ = ()
 
-class Gate:
-    """One gate. Its height is stored, as each Tensor and Seq built on it reads it."""
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
-    __slots__ = ("kind", "height")
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(self, kind: GateKind):
-        _set_kind(self, kind)
-        _set_gate_height(self, kind.height)
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
-        if type(other) is not Gate:
+        if not isinstance(other, _Node):
             return NotImplemented
-        return self.kind is other.kind
+        return self is other or (self.height == other.height and unparse(self) == unparse(other))
 
     def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"Gate(kind={self.kind!r})"
+        return hash(unparse(self))
 
     def __reduce__(self):
-        return Gate, (self.kind,)
-
-
-class _Binary:
-    """A Tensor or Seq node: two subcircuits and the height they span."""
-
-    __slots__ = ("left", "right", "height")
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # A pre-order tag sequence of a binary tree is never a proper prefix
-        # of another's, so the walks differ before the shorter one ends.
-        return self is other or all(map(_is, _preorder(self), _preorder(other)))
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self)))
+        return parse_circuit, (unparse(self),)
 
     def __repr__(self):
         out: list[str] = []
@@ -117,14 +95,27 @@ class _Binary:
             if t is str:
                 out.append(item)
             elif t is Gate:
-                out.append(repr(item))
+                out.append(f"Gate(kind={item.kind!r})")
             else:
                 out.append(f"{t.__qualname__}(left=")
                 stack += (")", item.right, ", right=", item.left)
         return "".join(out)
 
-    def __reduce__(self):
-        return type(self), (self.left, self.right)
+
+class Gate(_Node):
+    """One gate. Its height is stored, as each Tensor and Seq built on it reads it."""
+
+    __slots__ = ("kind", "height")
+
+    def __init__(self, kind: GateKind):
+        _set_kind(self, kind)
+        _set_gate_height(self, kind.height)
+
+
+class _Binary(_Node):
+    """A Tensor or Seq node: two subcircuits and the height they span."""
+
+    __slots__ = ("left", "right", "height")
 
 
 class Tensor(_Binary):
@@ -148,25 +139,10 @@ class Seq(_Binary):
         _set_height(self, h)
 
 
-# __init__ sets the slots through their own setters, which bypass _immutable
+# __init__ sets the slots through their own setters, which bypass __setattr__
 # and cost less than object.__setattr__.
 _set_kind, _set_gate_height = Gate.kind.__set__, Gate.height.__set__
 _set_left, _set_right, _set_height = _Binary.left.__set__, _Binary.right.__set__, _Binary.height.__set__
-
-
-def _preorder(node: CircuitAst) -> Iterator[GateKind | type]:
-    """The tree's nodes in pre-order as tags, a gate's kind or a node's class,
-    which determine the tree."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Gate:
-            yield node.kind
-        else:
-            yield t
-            stack.append(node.right)
-            stack.append(node.left)
 
 
 CircuitAst = Union[Gate, Tensor, Seq]

@@ -69,9 +69,6 @@ class Partition:
         """The canonical array: entry i is the least member of i's block."""
         return tuple(min(block) for block in self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def _check_index(self, i: int) -> None:
         if not 0 <= i < len(self.members):
             raise IndexError(f"qubit {i} out of range for n={len(self.members)}")

@@ -66,9 +66,10 @@ class QubitLimitError(ValueError):
     """Raised when simulate is asked for more qubits than its limit."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseState:
-    """Normalized amplitude vector over n qubits."""
+    """Normalized amplitude vector over n qubits. `==` is identity, and so
+    is the hash: equal amplitudes need a tolerance (np.allclose)."""
 
     n: int
     amps: np.ndarray

@@ -215,17 +215,15 @@ def _benchmark_circuit(n: int, columns: int, seed: int = 0):
 
 
 def test_c7_linear_scaling():
-    def timed(columns):
-        # best of 3, so a burst of host load does not decide a ratio
-        circuit = _benchmark_circuit(256, columns)
-        best = float("inf")
-        for _ in range(3):
+    # Each size's best of 5 interleaved rounds: a burst of host load slows
+    # every size of a round alike, not all repeats of one size.
+    circuits = {cols: _benchmark_circuit(256, cols) for cols in (1250, 2500, 5000, 10000)}
+    times = dict.fromkeys(circuits, float("inf"))
+    for _ in range(5):
+        for cols, circuit in circuits.items():
             start = time.perf_counter()
             analyze(circuit)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    times = {cols: timed(cols) for cols in (1250, 2500, 5000, 10000)}
+            times[cols] = min(times[cols], time.perf_counter() - start)
     ratios = [times[2 * c] / times[c] for c in (1250, 2500, 5000)]
     ok = times[10000] < 5.0 and all(r <= 2.5 for r in ratios)
     report(7, "O(n*m) scaling", ok,

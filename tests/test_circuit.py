@@ -463,7 +463,8 @@ def left_deep(columns, first=Tensor(H, CX)):
 
 
 class TestDeepInputs:
-    """Parser, unparse, ==, hash() and repr() have no recursion-depth limit."""
+    """Parser, unparse, ==, hash(), repr(), pickle and deepcopy have no
+    recursion-depth limit."""
 
     def test_deeply_nested_parentheses(self):
         depth = 10**5
@@ -499,6 +500,8 @@ class TestDeepInputs:
         assert text.startswith("Seq(left=Seq(left=Seq(left=")
         assert text.endswith("right=Gate(kind=<GateKind.H: 'H'>))))")
         assert parse_circuit(unparse(a)) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
         # differs only in the first gate, 10^4 Seq nodes down
         assert a != left_deep(10**4, first=Tensor(X, CX))
         assert a != left_deep(10**4 - 1)

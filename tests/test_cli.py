@@ -121,6 +121,22 @@ class TestAnalyze:
         assert "violation[entanglement]" in out
         assert "unsound" in err
 
+    @pytest.mark.parametrize("mode, code, levels, soundness, err", [
+        ("levels", 0, "{0} {1} {2}", "ok (entanglement=True level=True label=True)\n", ""),
+        ("no-levels", 0, "{0} {1} {2}", "ok (entanglement=True level=True label=True)\n", ""),
+        ("unsafe-leveling", 3, "{0} {1,2}",
+         "VIOLATED (entanglement=True level=False label=True)\n"
+         "  violation[level] (1, 2): analysis marks qubits 1 and 2 as leveled but they are not\n",
+         "error: analysis is unsound for this circuit\n"),
+    ])
+    def test_unsafe_leveling_witness(self, qc, capsys, mode, code, levels, soundness, err):
+        """H@0, H@1, CX@1, CX@0: the shortest circuit on which the oracle
+        catches unsafe-leveling's false level pair."""
+        path = qc("H ** H ** I oo I ** CX oo CX ** I")
+        out = (f"qubits: 3\nmode: {mode}\nlabels: top top top\nseparability: {{0,1,2}}\n"
+               f"levels: {levels}\nsoundness: {soundness}")
+        assert run(capsys, ["analyze", path, "--mode", mode, "--check-oracle"]) == (code, out, err)
+
     def test_check_oracle_respects_qubit_limit(self, qc, capsys):
         text = " ** ".join(["I"] * 5)
         code, _, err = run(capsys, [

@@ -95,6 +95,14 @@ class TestDenseState:
         for amps in ([1.0, 1.0], [np.nan, 0.0]):
             with pytest.raises(ValueError, match="not normalized"):
                 DenseState(1, np.array(amps))
+        with pytest.raises(ValueError, match="expected 4 amplitudes"):
+            DenseState(2, [1, 0])
+
+    def test_equality_is_identity(self):
+        a, b = DenseState.zero(1), DenseState.zero(1)
+        assert a == a
+        assert a != b
+        assert len({a, a, b}) == 2
 
     def test_from_amplitudes_normalize(self):
         s = DenseState.from_amplitudes([1, 1, 0, 1], normalize=True)
@@ -571,6 +579,9 @@ class TestBasisOracle:
     def test_bell_member_is_neither(self):
         assert basis_oracle(BELL, 0) is ConcreteBasis.NEITHER
         assert basis_oracle(BELL, 1) is ConcreteBasis.NEITHER
+        for qubit in (2, -1):
+            with pytest.raises(IndexError, match=f"qubit {qubit} out of range for n=2"):
+                basis_oracle(BELL, qubit)
 
     def test_mixed_product(self):
         s = simulate(parse_circuit("X ** H"))
@@ -652,6 +663,13 @@ class TestCheckSoundness:
         rep = check_soundness(claim, s)
         assert rep.entanglement_ok
         assert not rep.level_ok
+
+    def test_catches_unsafe_leveling_witness(self):
+        c = parse_circuit("H ** H ** I oo I ** CX oo CX ** I")
+        rep = check_soundness(analyze(c, AnalysisMode.UNSAFE_LEVELING), simulate(c))
+        assert [v[:2] for v in rep.violations] == [("level", (1, 2))]
+        for mode in (AnalysisMode.LEVELS, AnalysisMode.NO_LEVELS):
+            assert check_soundness(analyze(c, mode), simulate(c)).ok
 
     def test_flags_wrong_label(self):
         claim = AbstractState([BasisLabel.D], Partition.singletons(1), Partition.singletons(1))

@@ -1,10 +1,12 @@
-"""README's examples, run against the code they describe."""
+"""README's examples, run against the code they describe, and the public
+API they use."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
+import qent
 from qent import BasisLabel
 from qent.cli import main
 
@@ -64,3 +66,19 @@ def test_height_mismatch_diagnostic(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("bell.qc").write_text(circuit, encoding="utf-8")
     assert run(capsys, ["analyze", "bell.qc"]) == (2, "", diagnostic + "\n")
+
+
+def test_public_api():
+    """Any change to the exports is a deliberate edit of this list."""
+    assert qent.__all__ == [
+        "AbstractState", "AnalysisMode", "BasisLabel", "CircuitAst", "CircuitSyntaxError",
+        "ConcreteBasis", "DenseState", "Gate", "GateKind", "Partition", "Seq",
+        "SoundnessReport", "Tensor", "TraceStep", "ValidationError", "analyze",
+        "analyze_traced", "apply_cx_at", "apply_gate", "basis_oracle", "check_soundness",
+        "finest_separable_partition", "init_state", "iter_gates", "levels_oracle",
+        "parse_circuit", "simulate", "unparse", "validate",
+    ]
+    assert qent.__all__ == sorted(qent.__all__)
+    for name in qent.__all__:
+        assert not name.startswith("_")
+        assert getattr(qent, name) is not None
