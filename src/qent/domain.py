@@ -43,10 +43,14 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> Partition:
+        if n < 0:
+            raise ValueError("qubit count must be non-negative")
         return cls(tuple(frozenset((i,)) for i in range(n)))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> Partition:
+        if n < 0:
+            raise ValueError("qubit count must be non-negative")
         members: list[frozenset[int] | None] = [None] * n
         for block in blocks:
             listed = sorted(block)  # repeats kept, so a repeat is caught
@@ -163,7 +167,5 @@ class AbstractState:
 
 def init_state(n: int) -> AbstractState:
     """State for |00...0>: all labels s, everything separable and unleveled."""
-    if n < 0:
-        raise ValueError("qubit count must be non-negative")
     singles = Partition.singletons(n)
     return AbstractState([BasisLabel.S] * n, singles, singles)

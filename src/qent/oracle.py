@@ -14,10 +14,10 @@ Checks provided:
 
 * finest_separable_partition: the unique most-refined grouping of qubits
   across which the state factorizes. Correlated qubit pairs seed
-  components; rank-1 tests over unions of components split off factors,
-  and each factor is split again. States that are entangled while every
-  pair marginal is a product (2-uniform states) still cost up to
-  2^(k-1) - 1 tests over k components.
+  components; blocks are peeled off by least qubit, each the first union
+  of components whose cut passes a rank-1 test on the given state. States
+  that are entangled while every pair marginal is a product (2-uniform
+  states) still cost up to 2^(k-1) - 1 tests over k components.
 * levels_oracle: pairs of superposed qubits whose bit values agree (or
   disagree) across every nonzero amplitude; measuring one collapses the
   other.
@@ -84,9 +84,9 @@ class DenseState:
 
     @classmethod
     def zero(cls, n: int) -> DenseState:
-        amps = np.zeros(2 ** n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
+        if n < 0:
+            raise ValueError("qubit count must be non-negative")
+        return cls(n, np.eye(1, 2 ** n, dtype=complex)[0])
 
     @classmethod
     def from_amplitudes(cls, amps, normalize: bool = False) -> DenseState:
@@ -122,6 +122,8 @@ def _apply(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
 def _apply_pair(state: DenseState, kind: GateKind, i: int, j: int) -> DenseState:
     """Apply a two-wire gate at wires (i, j), i first: both axes are moved
     to the front, the gate applied at wire 0, and the axes moved back."""
+    if not (0 <= i < state.n and 0 <= j < state.n):
+        raise IndexError(f"{kind.value}({i},{j}) out of range for n={state.n}")
     shape = (2,) * state.n
     psi = np.moveaxis(state.amps.reshape(shape), (i, j), (0, 1))
     psi = _apply(psi.reshape(-1), _UNITARY[kind], 0)
@@ -130,6 +132,8 @@ def _apply_pair(state: DenseState, kind: GateKind, i: int, j: int) -> DenseState
 
 def apply_single(state: DenseState, kind: GateKind, q: int) -> DenseState:
     """Apply a single-qubit unitary at wire q."""
+    if not 0 <= q < state.n:
+        raise IndexError(f"{kind.value} at {q} out of range for n={state.n}")
     return DenseState(state.n, _apply(state.amps, _UNITARY[kind], q))
 
 
@@ -190,11 +194,12 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
     Qubits whose two-qubit marginal is not the product of their one-qubit
-    marginals lie in one factor, so these pairs seed components. Only cuts
-    that are unions of components are rank-1 tested, smallest first; the
-    first that factorizes splits the state into its two top singular
-    vectors, each split the same way, and a set of components with no such
-    cut is one block. Invariant under global phase.
+    marginals lie in one factor, so these pairs seed components. Blocks are
+    peeled off by least remaining qubit: its component, united with other
+    components (fewest first), is its block once the cut around that union
+    passes a rank-1 test, and with no such cut the remaining qubits are one
+    block. Every cut is tested on the given state; no factor state is built.
+    Blocks come by least member. Invariant under global phase.
     """
     n = state.n
     one = [m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))]
@@ -206,31 +211,23 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
         if np.abs(m @ m.conj().T - np.kron(one[i], one[j])).max() > PAIR_EPS:
             old, new = label[j], label[i]
             label = [new if lab == old else lab for lab in label]
-    components: dict[int, list[int]] = {}
-    for q in range(n):
-        components.setdefault(label[q], []).append(q)
+    comps = [[q for q in range(n) if label[q] == lab] for lab in dict.fromkeys(label)]
 
-    # each item: a factor state, its qubits in ascending order (the state's
-    # axes) and the components that make it up
+    # Components come by least member and each lies inside one block, and a
+    # cut factorizes exactly when both sides are unions of blocks: the first
+    # such cut made of comps[0] and other components is comps[0]'s block.
+    # Blocks already peeled are tensor factors, so no test needs them apart.
     blocks = []
-    work = [(state, list(range(n)), list(components.values()))] if n else []
-    while work:
-        sub, qubits, comps = work.pop()
-        axis = {q: k for k, q in enumerate(qubits)}
-        cuts = (cut for r in range(len(comps) - 1) for cut in combinations(comps[1:], r))
-        for cut in cuts:
-            side = tuple(sorted(axis[q] for comp in (comps[0], *cut) for q in comp))
-            u, sv, vh = np.linalg.svd(_bipartition_matrix(sub, side), full_matrices=False)
-            if sv[1] < EPS:
-                inside = [qubits[k] for k in side]
-                rest = [q for q in qubits if q not in inside]
-                work.append((DenseState(len(inside), u[:, 0]), inside, [comps[0], *cut]))
-                work.append((DenseState(len(rest), vh[0]), rest,
-                             [comp for comp in comps[1:] if comp not in cut]))
+    while comps:
+        block = sorted(q for comp in comps for q in comp)
+        for cut in (cut for r in range(len(comps) - 1) for cut in combinations(comps[1:], r)):
+            side = tuple(sorted(q for comp in (comps[0], *cut) for q in comp))
+            if np.linalg.svd(_bipartition_matrix(state, side), compute_uv=False)[1] < EPS:
+                block = list(side)
                 break
-        else:
-            blocks.append(qubits)
-    return sorted(blocks)
+        blocks.append(block)
+        comps = [comp for comp in comps if comp[0] not in block]
+    return blocks
 
 
 def levels_oracle(state: DenseState) -> set[tuple[int, int]]:

@@ -45,6 +45,8 @@ class TestEncoding:
     def test_singletons(self):
         assert Partition.singletons(3).blocks() == [[0], [1], [2]]
         assert Partition.singletons(0).blocks() == []
+        with pytest.raises(ValueError, match="qubit count must be non-negative"):
+            Partition.singletons(-1)
 
     def test_same_block(self):
         p = part([0, 1, 2])
@@ -76,6 +78,8 @@ class TestEncoding:
             Partition.from_blocks([[0, 0], [1]], 2)
         with pytest.raises(ValueError, match="empty block"):
             Partition.from_blocks([[0], [], [1]], 2)
+        with pytest.raises(ValueError, match="qubit count must be non-negative"):
+            Partition.from_blocks([], -2)
 
     def test_validate_rejects_inconsistent_members(self):
         b01, b0, b1 = frozenset((0, 1)), frozenset((0,)), frozenset((1,))

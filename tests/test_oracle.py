@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import qent.oracle
-from qent.analyzer import AnalysisMode, analyze
+from qent.analyzer import AnalysisMode, analyze, apply_gate
 from qent.circuit import Gate, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from qent.oracle import (
@@ -90,6 +91,9 @@ class TestDenseState:
         s = DenseState.zero(3)
         assert s.amps[0] == 1.0
         assert np.count_nonzero(s.amps) == 1
+        assert DenseState.zero(0).amps.tolist() == [1]
+        with pytest.raises(ValueError, match="qubit count must be non-negative"):
+            DenseState.zero(-1)
 
     def test_rejects_unnormalized(self):
         for amps in ([1.0, 1.0], [np.nan, 0.0]):
@@ -187,6 +191,18 @@ class TestGateKernel:
                 want = ref_swap(s.n, i, j) @ s.amps
                 assert np.allclose(apply_swap(s, i, j).amps, want, atol=1e-12)
                 assert np.allclose(apply_swap(s, j, i).amps, want, atol=1e-12)
+
+    def test_wires_out_of_range(self):
+        s = dense((0b01, 1), n=2)
+        calls = [(apply_single, GateKind.H, 2), (apply_single, GateKind.H, -1),
+                 (apply_single, GateKind.X, -3)]
+        for helper in (apply_cx, apply_swap):
+            calls += [(helper, -1, 0), (helper, 0, -1), (helper, 0, 2), (helper, 2, 0)]
+        for helper, *args in calls:
+            with pytest.raises(IndexError, match="out of range for n=2"):
+                helper(s, *args)
+        with pytest.raises(ValueError, match="must differ"):
+            apply_cx(s, 1, 1)
 
     def test_simulate_random_circuits(self):
         rng = random.Random(83)
@@ -414,6 +430,32 @@ class TestFinestCost:
             calls.clear()
             assert finest_separable_partition(state) == want
             assert len(calls) <= len(factors) - 1
+
+    @pytest.mark.parametrize("second, most", [("bell", 27), ("code", 146)])
+    def test_perfect_code_products_peel_each_block_once(self, monkeypatch, second, most):
+        # a block found is never searched again: once the code's block is
+        # peeled off, the rest is one block and needs no test of its own
+        code = perfect_code_state()
+        state = code.tensor({"bell": BELL, "code": code}[second])
+        calls = count_svds(monkeypatch)
+        assert finest_separable_partition(state) == [list(range(5)), list(range(5, state.n))]
+        assert len(calls) <= most
+
+    def test_builds_no_state(self, monkeypatch):
+        code = perfect_code_state()
+        states = [code.tensor(BELL), BELL.tensor(code), ghz(3).tensor(BELL_ANTI),
+                  permuted(BELL.tensor(ghz(3)).tensor(DenseState.zero(1)), [4, 0, 2, 5, 1, 3])]
+        built = []
+        post_init = DenseState.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(DenseState, "__post_init__", counted)
+        for state in states:
+            finest_separable_partition(state)
+        assert built == []
 
 
 def fold(circuit):
@@ -688,3 +730,62 @@ class TestCheckSoundness:
         claim = AbstractState([BasisLabel.TOP, BasisLabel.TOP],
                               Partition.from_blocks([[0, 1]], 2), Partition.singletons(2))
         assert check_soundness(claim, DenseState.zero(2)).ok
+
+
+T_FREE = (GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.CX, GateKind.SW)
+
+
+def concrete_key(state):
+    """The amplitudes with the first nonzero one turned onto the positive real
+    axis, rounded to 9 decimals; adding 0.0 makes -0.0 equal 0.0."""
+    first = state.amps[np.flatnonzero(np.abs(state.amps) > qent.oracle.EPS)[0]]
+    return (np.round(state.amps * (abs(first) / first), 9) + 0.0).tobytes()
+
+
+def concrete_step(state, kind, q):
+    if kind is GateKind.CX:
+        return apply_cx(state, q, q + 1)
+    if kind is GateKind.SW:
+        return apply_swap(state, q, q + 1)
+    return apply_single(state, kind, q)
+
+
+def t_free_closure(n, mode):
+    """Breadth-first search from |0...0> over pairs of analysis state and exact
+    state, moved by every T-free gate at every wire; yields each pair once,
+    as it is first reached. The gates generate a finite group, so it ends."""
+    seen = set()
+    queue = deque([(init_state(n), DenseState.zero(n))])
+    while queue:
+        st, state = queue.popleft()
+        key = (tuple(st.labels), st.sep, st.lvl, concrete_key(state))
+        if key in seen:
+            continue
+        seen.add(key)
+        yield st, state
+        for kind in T_FREE:
+            for q in range(n - kind.height + 1):
+                queue.append((apply_gate(st.copy(), kind, q, mode), concrete_step(state, kind, q)))
+
+
+class TestTFreeClosure:
+    """Every T-free circuit on 3 wires, of any length, checked exhaustively:
+    each reachable (analysis, exact) pair is checked once. Exact states are
+    told apart by concrete_key, that is, up to global phase and to 9
+    decimals."""
+
+    @pytest.mark.parametrize("mode, pairs", [(AnalysisMode.LEVELS, 1456),
+                                             (AnalysisMode.NO_LEVELS, 592)])
+    def test_every_reachable_pair_is_sound(self, mode, pairs):
+        reached = list(t_free_closure(3, mode))
+        assert len(reached) == pairs
+        for st, state in reached:
+            assert check_soundness(st, state).ok
+        concrete = {concrete_key(state): state for _, state in reached}
+        assert len(concrete) == 240
+        for state in concrete.values():
+            finest(state)
+
+    def test_unsafe_leveling_is_caught(self):
+        reached = t_free_closure(3, AnalysisMode.UNSAFE_LEVELING)
+        assert any(not check_soundness(st, state).ok for st, state in reached)
