@@ -14,10 +14,12 @@ Checks provided:
 
 * finest_separable_partition: the unique most-refined grouping of qubits
   across which the state factorizes. Correlated qubit pairs seed
-  components; blocks are peeled off by least qubit, each the first union
-  of components whose cut passes a rank-1 test on the given state. States
-  that are entangled while every pair marginal is a product (2-uniform
-  states) still cost up to 2^(k-1) - 1 tests over k components.
+  components, and only qubits whose one-qubit marginal is mixed are
+  paired: a qubit with a pure marginal factors out. Blocks are peeled off
+  by least qubit, each the first union of components whose cut passes a
+  rank-1 test on the given state. States that are entangled while every
+  pair marginal is a product (2-uniform states) still cost up to
+  2^(k-1) - 1 tests over k components.
 * levels_oracle: pairs of superposed qubits whose bit values agree (or
   disagree) across every nonzero amplitude; measuring one collapses the
   other.
@@ -42,7 +44,14 @@ EPS = 1e-9
 # in factors that the rank-1 test separates (sv[1] < EPS) have
 # max|rho_ij - rho_i (x) rho_j| of order EPS, far below PAIR_EPS, so uniting
 # a pair above it never makes the result coarser than testing every cut; a
-# correlation below it that is missed costs only extra SVDs.
+# correlation below it that is missed costs only extra SVDs. Only qubits
+# whose one-qubit marginal has |det| > PAIR_EPS**2 are paired: a pure
+# marginal (det 0) factors out and correlates with nothing. The bound is
+# squared because the det is about the marginal's smaller eigenvalue l,
+# while the qubit's pair deviations are about sqrt(l). A skipped qubit that
+# is in fact weakly mixed stays a component of its own, so it costs only
+# SVDs, never a different result: components stay inside blocks, and the
+# block the peel finds is unique.
 PAIR_EPS = 1e-6
 DEFAULT_QUBIT_LIMIT = 12
 
@@ -132,6 +141,8 @@ def _apply_pair(state: DenseState, kind: GateKind, i: int, j: int) -> DenseState
 
 def apply_single(state: DenseState, kind: GateKind, q: int) -> DenseState:
     """Apply a single-qubit unitary at wire q."""
+    if kind.height != 1:
+        raise ValueError(f"{kind.value} is a two-wire gate; use apply_cx or apply_swap")
     if not 0 <= q < state.n:
         raise IndexError(f"{kind.value} at {q} out of range for n={state.n}")
     return DenseState(state.n, _apply(state.amps, _UNITARY[kind], q))
@@ -145,6 +156,9 @@ def apply_cx(state: DenseState, control: int, target: int) -> DenseState:
 
 
 def apply_swap(state: DenseState, i: int, j: int) -> DenseState:
+    """Swap wires i and j."""
+    if i == j:
+        raise ValueError("swap wires must differ")
     return _apply_pair(state, GateKind.SW, i, j)
 
 
@@ -194,21 +208,27 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
     Qubits whose two-qubit marginal is not the product of their one-qubit
-    marginals lie in one factor, so these pairs seed components. Blocks are
-    peeled off by least remaining qubit: its component, united with other
-    components (fewest first), is its block once the cut around that union
-    passes a rank-1 test, and with no such cut the remaining qubits are one
-    block. Every cut is tested on the given state; no factor state is built.
-    Blocks come by least member. Invariant under global phase.
+    marginals lie in one factor, so these pairs seed components. A qubit
+    whose one-qubit marginal is pure factors out and is never paired; one
+    skipped while weakly mixed costs only cut tests (see PAIR_EPS). Blocks
+    are peeled off by least remaining qubit: its component, united with
+    other components (fewest first), is its block once the cut around that
+    union passes a rank-1 test, and with no such cut the remaining qubits
+    are one block. Every cut is tested on the given state; no factor state
+    is built. Blocks come by least member. Invariant under global phase.
     """
     n = state.n
-    one = [m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))]
+    one = np.array([m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))])
+    # one batched det; the reshape gives n = 0 its (0, 2, 2) shape
+    mixed = np.flatnonzero(np.abs(np.linalg.det(one.reshape(n, 2, 2))) > PAIR_EPS ** 2).tolist()
     label = list(range(n))
-    for i, j in combinations(range(n), 2):
+    for i, j in combinations(mixed, 2):
         if label[i] == label[j]:
             continue
         m = _bipartition_matrix(state, (i, j))
-        if np.abs(m @ m.conj().T - np.kron(one[i], one[j])).max() > PAIR_EPS:
+        # kron(one[i], one[j]) by broadcasting, as in simulate
+        product = (one[i][:, None, :, None] * one[j][None, :, None, :]).reshape(4, 4)
+        if np.abs(m @ m.conj().T - product).max() > PAIR_EPS:
             old, new = label[j], label[i]
             label = [new if lab == old else lab for lab in label]
     comps = [[q for q in range(n) if label[q] == lab] for lab in dict.fromkeys(label)]

@@ -204,6 +204,15 @@ class TestGateKernel:
         with pytest.raises(ValueError, match="must differ"):
             apply_cx(s, 1, 1)
 
+    def test_rejects_two_wire_kind_and_equal_wires(self):
+        s = dense((0b01, 1), n=2)
+        for kind in (GateKind.CX, GateKind.SW):
+            for q in (0, 1):
+                with pytest.raises(ValueError, match="two-wire gate"):
+                    apply_single(s, kind, q)
+        with pytest.raises(ValueError, match="must differ"):
+            apply_swap(s, 1, 1)
+
     def test_simulate_random_circuits(self):
         rng = random.Random(83)
         for _ in range(200):
@@ -265,6 +274,21 @@ def count_svds(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(qent.oracle.np.linalg, "svd", counted)
+    return calls
+
+
+def count_pairs(monkeypatch):
+    """A list that grows by the subset of every two-qubit marginal the oracle
+    builds, that is, every two-qubit _bipartition_matrix call."""
+    calls = []
+    matrix = qent.oracle._bipartition_matrix
+
+    def counted(state, subset):
+        if len(subset) == 2:
+            calls.append(subset)
+        return matrix(state, subset)
+
+    monkeypatch.setattr(qent.oracle, "_bipartition_matrix", counted)
     return calls
 
 
@@ -440,6 +464,25 @@ class TestFinestCost:
         calls = count_svds(monkeypatch)
         assert finest_separable_partition(state) == [list(range(5)), list(range(5, state.n))]
         assert len(calls) <= most
+
+    def test_pure_qubits_are_never_paired(self, monkeypatch):
+        # the ten |0> qubits have pure marginals and are never paired (the
+        # peel tests only their one-qubit cuts); pairing all 12 would take 66
+        pairs = count_pairs(monkeypatch)
+        state = DenseState.zero(10).tensor(BELL)
+        assert finest_separable_partition(state) == [[q] for q in range(10)] + [[10, 11]]
+        assert pairs == [(10, 11)]
+
+    @pytest.mark.parametrize("theta, paired", [(1e-3, True), (1e-4, True), (1e-5, True),
+                                               (1e-6, None), (1e-7, False), (1e-8, False)])
+    def test_weak_pair_across_the_skip_boundary(self, monkeypatch, theta, paired):
+        # |det rho_0| = (sin(theta) cos(theta))^2 crosses PAIR_EPS**2 at about
+        # theta = 1e-6 (None: either side); paired or not, sv[1] >= EPS keeps
+        # the pair one block
+        pairs = count_pairs(monkeypatch)
+        assert finest(weak_pair(theta)) == [[0, 1]]
+        if paired is not None:
+            assert pairs == ([(0, 1)] if paired else [])
 
     def test_builds_no_state(self, monkeypatch):
         code = perfect_code_state()
@@ -750,22 +793,26 @@ def concrete_step(state, kind, q):
     return apply_single(state, kind, q)
 
 
-def t_free_closure(n, mode):
+def reachable_pairs(n, mode, kinds=T_FREE, depth=None):
     """Breadth-first search from |0...0> over pairs of analysis state and exact
-    state, moved by every T-free gate at every wire; yields each pair once,
-    as it is first reached. The gates generate a finite group, so it ends."""
+    state, moved by every gate of kinds at every wire, at most depth gates
+    deep; yields each pair once, as it is first reached. The T-free gates
+    generate a finite group, so over them the search ends unbounded."""
     seen = set()
-    queue = deque([(init_state(n), DenseState.zero(n))])
+    queue = deque([(init_state(n), DenseState.zero(n), 0)])
     while queue:
-        st, state = queue.popleft()
+        st, state, steps = queue.popleft()
         key = (tuple(st.labels), st.sep, st.lvl, concrete_key(state))
         if key in seen:
             continue
         seen.add(key)
         yield st, state
-        for kind in T_FREE:
+        if steps == depth:
+            continue
+        for kind in kinds:
             for q in range(n - kind.height + 1):
-                queue.append((apply_gate(st.copy(), kind, q, mode), concrete_step(state, kind, q)))
+                queue.append((apply_gate(st.copy(), kind, q, mode),
+                              concrete_step(state, kind, q), steps + 1))
 
 
 class TestTFreeClosure:
@@ -777,7 +824,7 @@ class TestTFreeClosure:
     @pytest.mark.parametrize("mode, pairs", [(AnalysisMode.LEVELS, 1456),
                                              (AnalysisMode.NO_LEVELS, 592)])
     def test_every_reachable_pair_is_sound(self, mode, pairs):
-        reached = list(t_free_closure(3, mode))
+        reached = list(reachable_pairs(3, mode))
         assert len(reached) == pairs
         for st, state in reached:
             assert check_soundness(st, state).ok
@@ -787,5 +834,28 @@ class TestTFreeClosure:
             finest(state)
 
     def test_unsafe_leveling_is_caught(self):
-        reached = t_free_closure(3, AnalysisMode.UNSAFE_LEVELING)
+        reached = reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING)
         assert any(not check_soundness(st, state).ok for st, state in reached)
+
+
+class TestDepthBoundedWithT:
+    """Every circuit of gates of all kinds, T included, on 3 wires up to a
+    depth bound. With T the reachable states are dense, so only the bound
+    ends the search."""
+
+    @pytest.mark.parametrize("mode, pairs", [(AnalysisMode.LEVELS, 996),
+                                             (AnalysisMode.NO_LEVELS, 936)])
+    def test_every_pair_within_depth_5_is_sound(self, mode, pairs):
+        reached = list(reachable_pairs(3, mode, ALL_KINDS, depth=5))
+        assert len(reached) == pairs
+        for st, state in reached:
+            assert check_soundness(st, state).ok
+        concrete = {concrete_key(state): state for _, state in reached}
+        assert len(concrete) == 761
+        for state in concrete.values():
+            finest(state)
+
+    def test_unsafe_leveling_is_caught_within_depth_4(self):
+        reached = list(reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING, ALL_KINDS, depth=4))
+        assert len(reached) == 294
+        assert sum(not check_soundness(st, state).ok for st, state in reached) == 1
