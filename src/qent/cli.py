@@ -4,11 +4,12 @@
                       [--format text|json] [--check-oracle] [--max-oracle-qubits N]
     qent compare FILE
 
-Exit codes: 0 success, 1 parse error or stdout closed early (no traceback),
-2 validation error (a sequence of circuits of different heights, reported
-at the `oo`'s line:col; or oracle qubit limit exceeded, or too little
-memory for the oracle), 3 soundness violation. Diagnostics go to stderr;
-results to stdout. Output is deterministic for a given input file and flags.
+Exit codes: 0 success, 1 parse error or stdout closed early or not
+writable (no traceback), 2 validation error (a sequence of circuits of
+different heights, reported at the `oo`'s line:col; or oracle qubit limit
+exceeded, or too little memory for the oracle), 3 soundness violation.
+Diagnostics go to stderr; results to stdout. Output is deterministic for a
+given input file and flags.
 
 Every state printed (the final state in text and JSON, compare's two lines,
 each trace line and each JSON trace entry) is formatted by one
@@ -337,7 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed reader raises here, not at exit
-    except BrokenPipeError:
+    except OSError as err:  # _load reports its own read errors
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
         # the signal module docs' recipe: what is left goes to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

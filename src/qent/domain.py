@@ -7,8 +7,6 @@ as one tuple whose entry i is the frozenset block holding qubit i, and
 all members of a block share one frozenset object; {{0,1}, {2,3}, {4}} is
 (b01, b01, b23, b23, b4). Two partitions are equal exactly when their
 tuples are, which makes state comparison in tests a plain equality check.
-The canonical array of representatives, [0, 0, 2, 2, 4] here, is derived
-from the blocks as `parent`.
 """
 
 from __future__ import annotations
@@ -68,11 +66,6 @@ class Partition:
             raise ValueError(f"qubits {missing} missing from blocks")
         return cls(tuple(members))
 
-    @property
-    def parent(self) -> tuple[int, ...]:
-        """The canonical array: entry i is the least member of i's block."""
-        return tuple(min(block) for block in self.members)
-
     def _check_index(self, i: int) -> None:
         if not 0 <= i < len(self.members):
             raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
@@ -91,13 +84,9 @@ class Partition:
         return j in self.members[i]
 
     def blocks(self) -> list[list[int]]:
-        """Decode to sorted blocks, ordered by least member."""
-        # qubits are visited in order, so each list fills sorted and the
-        # blocks come at their least member: nothing needs sorting
-        by_block: dict[frozenset[int], list[int]] = {}
-        for i, block in enumerate(self.members):
-            by_block.setdefault(block, []).append(i)
-        return list(by_block.values())
+        """Decode to sorted blocks, ordered by least member: dict.fromkeys
+        keeps the distinct blocks in the order members first meets them."""
+        return [sorted(block) for block in dict.fromkeys(self.members)]
 
     def join(self, i: int, j: int) -> Partition:
         """Unite the blocks of i and j."""

@@ -13,13 +13,13 @@ amplitudes, so it alone refuses circuits over its qubit limit (default 12).
 Checks provided:
 
 * finest_separable_partition: the unique most-refined grouping of qubits
-  across which the state factorizes. Correlated qubit pairs seed
-  components, and only qubits whose one-qubit marginal is mixed are
-  paired: a qubit with a pure marginal factors out. Blocks are peeled off
-  by least qubit, each the first union of components whose cut passes a
-  rank-1 test on the given state. States that are entangled while every
-  pair marginal is a product (2-uniform states) still cost up to
-  2^(k-1) - 1 tests over k components.
+  across which the state factorizes. Correlated qubit pairs are joined in
+  a domain Partition whose blocks seed components, and only qubits whose
+  one-qubit marginal is mixed are paired: a qubit with a pure marginal
+  factors out. Blocks are peeled off by least qubit, each the first union
+  of components whose cut passes a rank-1 test on the given state. States
+  that are entangled while every pair marginal is a product (2-uniform
+  states) still cost up to 2^(k-1) - 1 tests over k components.
 * levels_oracle: pairs of superposed qubits whose bit values agree (or
   disagree) across every nonzero amplitude; measuring one collapses the
   other.
@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 from .circuit import CircuitAst, GateKind, iter_gates, validate
-from .domain import AbstractState, BasisLabel
+from .domain import AbstractState, BasisLabel, Partition
 
 EPS = 1e-9
 # Pair-correlation threshold that seeds finest_separable_partition. Qubits
@@ -208,30 +208,30 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
     Qubits whose two-qubit marginal is not the product of their one-qubit
-    marginals lie in one factor, so these pairs seed components. A qubit
-    whose one-qubit marginal is pure factors out and is never paired; one
-    skipped while weakly mixed costs only cut tests (see PAIR_EPS). Blocks
-    are peeled off by least remaining qubit: its component, united with
-    other components (fewest first), is its block once the cut around that
-    union passes a rank-1 test, and with no such cut the remaining qubits
-    are one block. Every cut is tested on the given state; no factor state
-    is built. Blocks come by least member. Invariant under global phase.
+    marginals lie in one factor, so these pairs are joined in a Partition,
+    the seeds, whose blocks are the components. A qubit whose one-qubit
+    marginal is pure factors out and is never paired; one skipped while
+    weakly mixed costs only cut tests (see PAIR_EPS). Blocks are peeled off
+    by least remaining qubit: its component, united with other components
+    (fewest first), is its block once the cut around that union passes a
+    rank-1 test, and with no such cut the remaining qubits are one block.
+    Every cut is tested on the given state; no factor state is built.
+    Blocks come by least member. Invariant under global phase.
     """
     n = state.n
     one = np.array([m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))])
     # one batched det; the reshape gives n = 0 its (0, 2, 2) shape
     mixed = np.flatnonzero(np.abs(np.linalg.det(one.reshape(n, 2, 2))) > PAIR_EPS ** 2).tolist()
-    label = list(range(n))
+    seeds = Partition.singletons(n)
     for i, j in combinations(mixed, 2):
-        if label[i] == label[j]:
+        if seeds.same_block(i, j):
             continue
         m = _bipartition_matrix(state, (i, j))
         # kron(one[i], one[j]) by broadcasting, as in simulate
         product = (one[i][:, None, :, None] * one[j][None, :, None, :]).reshape(4, 4)
         if np.abs(m @ m.conj().T - product).max() > PAIR_EPS:
-            old, new = label[j], label[i]
-            label = [new if lab == old else lab for lab in label]
-    comps = [[q for q in range(n) if label[q] == lab] for lab in dict.fromkeys(label)]
+            seeds = seeds.join(i, j)
+    comps = seeds.blocks()
 
     # Components come by least member and each lies inside one block, and a
     # cut factorizes exactly when both sides are unions of blocks: the first

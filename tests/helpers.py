@@ -1,20 +1,23 @@
-"""Shared test utilities: naive oracles and random circuit generation."""
+"""Shared test utilities: naive oracles, random circuit generation, and the
+breadth-first search over reachable (analysis, exact) state pairs."""
 
 from __future__ import annotations
 
 import functools
 import random
+from collections import deque
 
 import numpy as np
 
 from qent.analyzer import apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor
 from qent.domain import Partition, init_state
-from qent.oracle import EPS, _bipartition_matrix
+from qent.oracle import EPS, DenseState, _bipartition_matrix, apply_cx, apply_single, apply_swap
 
 SINGLE_QUBIT = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.T]
 TWO_QUBIT = [GateKind.SW, GateKind.CX]
 ALL_KINDS = SINGLE_QUBIT + TWO_QUBIT
+T_FREE = (GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.CX, GateKind.SW)
 
 
 class NaivePartition:
@@ -183,3 +186,66 @@ def run_pitfall_trace(mode, collect=True):
         if collect:
             rows.append(state_row(st))
     return st, rows
+
+
+def _phase_fixed(state):
+    """The amplitudes with the first nonzero one turned onto the positive
+    real axis, and which of them are nonzero."""
+    live = np.abs(state.amps) > EPS
+    first = state.amps[np.flatnonzero(live)[0]]
+    return state.amps * (abs(first) / first), live
+
+
+def exact_key(state):
+    """The state up to global phase, exactly, for T-free states only. Once
+    the first nonzero amplitude is on the positive real axis, each amplitude
+    is 0 or i^p * 2^(-k/2); the key holds (k, p) for each, and -1 for a 0.
+    Asserts that every amplitude lies within 1e-12 of the value it is keyed
+    by, so a state of another form fails rather than merging."""
+    amps, live = _phase_fixed(state)
+    ks = np.rint(-2 * np.log2(np.maximum(np.abs(amps), EPS))).astype(int)
+    ps = np.rint(np.angle(amps) / (np.pi / 2)).astype(int) % 4
+    exact = np.where(live, np.array([1, 1j, -1, -1j])[ps] * 2.0 ** (-ks / 2), 0)
+    assert np.abs(amps - exact).max() < 1e-12, f"amplitudes not of the T-free form: {amps}"
+    return tuple((k, p) if on else -1 for k, p, on in zip(ks.tolist(), ps.tolist(), live.tolist()))
+
+
+def rounded_key(state):
+    """The state up to global phase, with its amplitudes rounded to 9
+    decimals; adding 0.0 makes -0.0 equal 0.0. For states with T, whose
+    amplitudes are not of exact_key's form."""
+    amps, _ = _phase_fixed(state)
+    return (np.round(amps, 9) + 0.0).tobytes()
+
+
+def concrete_step(state, kind, q):
+    """The exact state after one gate of kind at wire q (wires q, q + 1 for
+    CX and SW)."""
+    if kind is GateKind.CX:
+        return apply_cx(state, q, q + 1)
+    if kind is GateKind.SW:
+        return apply_swap(state, q, q + 1)
+    return apply_single(state, kind, q)
+
+
+def reachable_pairs(n, mode, key, kinds=T_FREE, depth=None):
+    """Breadth-first search from |0...0> over pairs of analysis state and exact
+    state, moved by every gate of kinds at every wire, at most depth gates
+    deep; yields each pair once, as it is first reached. Exact states are
+    told apart by key (exact_key or rounded_key). The T-free gates generate
+    a finite group, so over them the search ends unbounded."""
+    seen = set()
+    queue = deque([(init_state(n), DenseState.zero(n), 0)])
+    while queue:
+        st, state, steps = queue.popleft()
+        seen_key = (tuple(st.labels), st.sep, st.lvl, key(state))
+        if seen_key in seen:
+            continue
+        seen.add(seen_key)
+        yield st, state
+        if steps == depth:
+            continue
+        for kind in kinds:
+            for q in range(n - kind.height + 1):
+                queue.append((apply_gate(st.copy(), kind, q, mode),
+                              concrete_step(state, kind, q), steps + 1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -278,6 +279,21 @@ class TestAnalyze:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("extra", [["analyze"], ["analyze", "--trace", "--format", "json"],
+                                       ["compare"]], ids=["text", "json-trace", "compare"])
+    def test_stdout_cannot_be_written(self, qc, extra):
+        """As `qent analyze FILE > /dev/full`: every write fails with ENOSPC,
+        which is reported in one line, with no traceback."""
+        path = qc("H ** I oo CX")
+        src = str(Path(qent.__file__).resolve().parent.parent)
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "qent.cli", extra[0], path, *extra[1:]],
+                                  env={**os.environ, "PYTHONPATH": src}, stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
 
 
 def state_text(state, sep):

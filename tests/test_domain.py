@@ -40,7 +40,9 @@ class TestEncoding:
     def test_array_encoding_example(self):
         p = part([0, 1], [2, 3], [4])
         assert p.blocks() == [[0, 1], [2, 3], [4]]
-        assert p.parent == (0, 0, 2, 2, 4)
+        b01, b23 = frozenset({0, 1}), frozenset({2, 3})
+        assert p.members == (b01, b01, b23, b23, frozenset({4}))
+        assert p.members[0] is p.members[1] and p.members[2] is p.members[3]
 
     def test_singletons(self):
         assert Partition.singletons(3).blocks() == [[0], [1], [2]]
@@ -136,7 +138,7 @@ class TestJoinSplit:
             p = Partition.singletons(n)
             for _ in range(rng.randint(0, 6)):
                 p = p.join(rng.randrange(n), rng.randrange(n))
-            singles = [i for i in range(n) if len([v for v in p.parent if v == p.parent[i]]) == 1]
+            singles = [i for i in range(n) if len(p.members[i]) == 1]
             if len(singles) < 2:
                 continue
             i, j = rng.sample(singles, 2)
@@ -257,7 +259,7 @@ class TestAbstractState:
         assert st.sep is st.lvl  # one shared object until a rule rebinds either
 
         st1 = init_state(1)
-        assert (st1.labels, st1.sep.parent, st1.lvl.parent) == ([S], (0,), (0,))
+        assert (st1.labels, st1.sep.blocks(), st1.lvl.blocks()) == ([S], [[0]], [[0]])
 
         st0 = init_state(0)
         assert st0.n == 0

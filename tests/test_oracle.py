@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import qent.oracle
-from qent.analyzer import AnalysisMode, analyze, apply_gate
+from qent.analyzer import AnalysisMode, analyze
 from qent.circuit import Gate, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from qent.oracle import (
@@ -28,7 +27,8 @@ from qent.oracle import (
     simulate,
 )
 from qent.circuit import GateKind, iter_gates
-from helpers import ALL_KINDS, pad_at, random_circuit, random_column, scan_finest_partition
+from helpers import (ALL_KINDS, exact_key, pad_at, random_circuit, random_column, reachable_pairs,
+                     rounded_key, scan_finest_partition)
 
 RT2 = 1 / np.sqrt(2)
 
@@ -775,87 +775,51 @@ class TestCheckSoundness:
         assert check_soundness(claim, DenseState.zero(2)).ok
 
 
-T_FREE = (GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.CX, GateKind.SW)
-
-
-def concrete_key(state):
-    """The amplitudes with the first nonzero one turned onto the positive real
-    axis, rounded to 9 decimals; adding 0.0 makes -0.0 equal 0.0."""
-    first = state.amps[np.flatnonzero(np.abs(state.amps) > qent.oracle.EPS)[0]]
-    return (np.round(state.amps * (abs(first) / first), 9) + 0.0).tobytes()
-
-
-def concrete_step(state, kind, q):
-    if kind is GateKind.CX:
-        return apply_cx(state, q, q + 1)
-    if kind is GateKind.SW:
-        return apply_swap(state, q, q + 1)
-    return apply_single(state, kind, q)
-
-
-def reachable_pairs(n, mode, kinds=T_FREE, depth=None):
-    """Breadth-first search from |0...0> over pairs of analysis state and exact
-    state, moved by every gate of kinds at every wire, at most depth gates
-    deep; yields each pair once, as it is first reached. The T-free gates
-    generate a finite group, so over them the search ends unbounded."""
-    seen = set()
-    queue = deque([(init_state(n), DenseState.zero(n), 0)])
-    while queue:
-        st, state, steps = queue.popleft()
-        key = (tuple(st.labels), st.sep, st.lvl, concrete_key(state))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield st, state
-        if steps == depth:
-            continue
-        for kind in kinds:
-            for q in range(n - kind.height + 1):
-                queue.append((apply_gate(st.copy(), kind, q, mode),
-                              concrete_step(state, kind, q), steps + 1))
-
-
 class TestTFreeClosure:
     """Every T-free circuit on 3 wires, of any length, checked exhaustively:
     each reachable (analysis, exact) pair is checked once. Exact states are
-    told apart by concrete_key, that is, up to global phase and to 9
-    decimals."""
+    told apart by exact_key, that is, up to global phase and exactly: each
+    amplitude is keyed by its exact value 0 or i^p * 2^(-k/2), which it
+    lies within 1e-12 of."""
 
     @pytest.mark.parametrize("mode, pairs", [(AnalysisMode.LEVELS, 1456),
                                              (AnalysisMode.NO_LEVELS, 592)])
     def test_every_reachable_pair_is_sound(self, mode, pairs):
-        reached = list(reachable_pairs(3, mode))
+        reached = list(reachable_pairs(3, mode, exact_key))
         assert len(reached) == pairs
         for st, state in reached:
             assert check_soundness(st, state).ok
-        concrete = {concrete_key(state): state for _, state in reached}
+        concrete = {exact_key(state): state for _, state in reached}
         assert len(concrete) == 240
         for state in concrete.values():
             finest(state)
 
     def test_unsafe_leveling_is_caught(self):
-        reached = reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING)
+        reached = reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING, exact_key)
         assert any(not check_soundness(st, state).ok for st, state in reached)
 
 
 class TestDepthBoundedWithT:
     """Every circuit of gates of all kinds, T included, on 3 wires up to a
     depth bound. With T the reachable states are dense, so only the bound
-    ends the search."""
+    ends the search. T amplitudes are not of exact_key's form, so exact
+    states are told apart by rounded_key: up to global phase and to 9
+    decimals."""
 
     @pytest.mark.parametrize("mode, pairs", [(AnalysisMode.LEVELS, 996),
                                              (AnalysisMode.NO_LEVELS, 936)])
     def test_every_pair_within_depth_5_is_sound(self, mode, pairs):
-        reached = list(reachable_pairs(3, mode, ALL_KINDS, depth=5))
+        reached = list(reachable_pairs(3, mode, rounded_key, ALL_KINDS, depth=5))
         assert len(reached) == pairs
         for st, state in reached:
             assert check_soundness(st, state).ok
-        concrete = {concrete_key(state): state for _, state in reached}
+        concrete = {rounded_key(state): state for _, state in reached}
         assert len(concrete) == 761
         for state in concrete.values():
             finest(state)
 
     def test_unsafe_leveling_is_caught_within_depth_4(self):
-        reached = list(reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING, ALL_KINDS, depth=4))
+        reached = list(reachable_pairs(3, AnalysisMode.UNSAFE_LEVELING, rounded_key, ALL_KINDS,
+                                       depth=4))
         assert len(reached) == 294
         assert sum(not check_soundness(st, state).ok for st, state in reached) == 1
