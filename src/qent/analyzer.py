@@ -2,19 +2,23 @@
 
 One analysis pass visits the gates in `iter_gates` order and applies each
 gate's transfer function. The transfer functions live in one table,
-`_RULES`, mapping a GateKind to a rule `rule(state, wire, mode)` that
-mutates the state at the gate's base wire:
+`_RULES`, mapping a GateKind to a rule `rule(labels, sep, lvl, wire,
+mode)` that updates the labels and the two partitions' member lists (see
+`domain`) in place at the gate's base wire, and returns whether the
+state's value changed:
 
 * H swaps the labels s and d; on a top wire it drops the wire's level
   (the superposition breaks any correlation it had with third qubits).
 * T turns d into top and leaves s and top alone.
-* CX is `apply_cx_at(state, wire, wire + 1, mode)`; its four cases are
-  documented there.
+* CX acts on (wire, wire + 1) by the four cases documented at
+  `apply_cx_at`.
 * SW exchanges the two wires across labels and both partitions.
 
 I, X, Y and Z preserve every basis, so they have no entry: they are
-abstract no-ops. `analyze`, `analyze_traced` and `apply_gate` all
-dispatch through the table. Three rule modes are selectable:
+abstract no-ops. `analyze` and `analyze_traced` run the rules on one
+working copy of the state; `apply_gate`, `apply_cx_at` and
+`AbstractState.swap_adjacent` run the same rules on a given state and
+rebind its partitions. Three rule modes are selectable:
 
 * LEVELS (default): full rules. CX joins the entanglement partition when
   it can entangle, marks a fresh diagonal-control/standard-target pair as
@@ -29,11 +33,13 @@ dispatch through the table. Three rule modes are selectable:
 
 Cost per gate is O(1) for labels. A partition update that changes
 nothing (a join within a block, a split of a singleton, a swap of two
-singletons or within a block) is O(1); one that changes blocks copies the
-n block references once plus the members of the blocks it changes. A full
-analysis is thus at most O(n * m) for n qubits and m gates. A trace
-copies the state only at the gates that change it, so it adds O(n) per
-change and O(1) per no-op step.
+singletons or within a block) is O(1); one that changes blocks re-points
+only the members of the blocks it changes, O(|Bi| + |Bj|). `analyze`
+builds the two `Partition` values once, at the end, so a full analysis is
+O(n) plus the sizes of the blocks changed by its m gates, at most
+O(n * m). A trace takes a snapshot, O(n), only after a gate whose rule
+reports a change; a step that changes nothing costs O(1) and compares no
+states.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import CircuitAst, GateKind, iter_gates, validate
-from .domain import AbstractState, BasisLabel, init_state
+from .domain import AbstractState, BasisLabel, Partition, _join, _split, _swap_adjacent, init_state
 
 _S = BasisLabel.S
 _D = BasisLabel.D
@@ -91,57 +97,61 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
         raise IndexError(f"cx({control},{target}) out of range for n={n}")
     if control == target:
         raise ValueError("cx control and target must differ")
-
-    b = st.labels
-    bc, bt = b[control], b[target]
-    if bc is _S or bt is _D:
-        return st
-    if bc is _D and bt is _S:
-        b[control] = b[target] = _TOP
-        st.sep = st.sep.join(control, target)
-        if mode is not AnalysisMode.NO_LEVELS:
-            st.lvl = st.lvl.join(control, target)
-        return st
-    if mode is not AnalysisMode.NO_LEVELS and st.lvl.same_block(control, target):
-        b[target] = _S
-        st.sep = st.sep.split(target)
-        st.lvl = st.lvl.split(target)
-        return st
-    b[control] = b[target] = _TOP
-    st.sep = st.sep.join(control, target)
-    if mode is AnalysisMode.LEVELS:
-        st.lvl = st.lvl.split(target)
-    elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:
-        st.lvl = st.lvl.join(control, target)
+    st._apply(_cx_at, control, target, mode)
     return st
 
 
-def _h(st: AbstractState, q: int, mode: AnalysisMode) -> None:
-    labels = st.labels
+def _cx_at(b: list[BasisLabel], sep: list, lvl: list, control: int, target: int,
+           mode: AnalysisMode) -> bool:
+    """apply_cx_at's cases over member lists; True if the state changed."""
+    bc, bt = b[control], b[target]
+    if bc is _S or bt is _D:
+        return False
+    if bc is _D and bt is _S:
+        b[control] = b[target] = _TOP
+        _join(sep, control, target)
+        if mode is not AnalysisMode.NO_LEVELS:
+            _join(lvl, control, target)
+        return True
+    if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:
+        # a shared level block holds both, so the level split always changes
+        b[target] = _S
+        _split(sep, target)
+        _split(lvl, target)
+        return True
+    b[control] = b[target] = _TOP
+    changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP
+    if mode is AnalysisMode.LEVELS:
+        changed = _split(lvl, target) or changed
+    elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:
+        changed = _join(lvl, control, target) or changed
+    return changed
+
+
+def _h(labels: list[BasisLabel], sep: list, lvl: list, q: int, mode: AnalysisMode) -> bool:
     lbl = labels[q]
     if lbl is _S:
         labels[q] = _D
     elif lbl is _D:
         labels[q] = _S
-    elif mode is not AnalysisMode.NO_LEVELS:
-        st.lvl = st.lvl.split(q)
+    else:
+        return mode is not AnalysisMode.NO_LEVELS and _split(lvl, q)
+    return True
 
 
-def _t(st: AbstractState, q: int, mode: AnalysisMode) -> None:
-    if st.labels[q] is _D:
-        st.labels[q] = _TOP
+def _t(labels: list[BasisLabel], sep: list, lvl: list, q: int, mode: AnalysisMode) -> bool:
+    if labels[q] is _D:
+        labels[q] = _TOP
+        return True
+    return False
 
 
-def _cx(st: AbstractState, q: int, mode: AnalysisMode) -> None:
-    apply_cx_at(st, q, q + 1, mode)
-
-
-def _sw(st: AbstractState, q: int, mode: AnalysisMode) -> None:
-    st.swap_adjacent(q)
+def _cx(labels: list[BasisLabel], sep: list, lvl: list, q: int, mode: AnalysisMode) -> bool:
+    return _cx_at(labels, sep, lvl, q, q + 1, mode)
 
 
 # I, X, Y, Z preserve every basis and have no entry: abstract no-ops.
-_RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _sw}
+_RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _swap_adjacent}
 
 
 def apply_gate(st: AbstractState, kind: GateKind, index: int,
@@ -151,19 +161,30 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
         raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
     rule = _RULES.get(kind)
     if rule is not None:
-        rule(st, index, mode)
+        st._apply(rule, index, mode)
     return st
+
+
+def _start(circuit: CircuitAst) -> tuple[list[BasisLabel], list, list]:
+    """The all-|0> state's labels and its two partitions as member lists."""
+    st = init_state(validate(circuit))
+    return st.labels, list(st.sep.members), list(st.lvl.members)
+
+
+def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
+    """A state of its own made from the working labels and member lists."""
+    return AbstractState(list(labels), Partition(tuple(sep)), Partition(tuple(lvl)))
 
 
 def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Run the analysis over a circuit from the all-|0> state."""
-    st = init_state(validate(circuit))
+    labels, sep, lvl = _start(circuit)
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
         rule = rules(gate.kind)
         if rule is not None:
-            rule(st, index, mode)
-    return st
+            rule(labels, sep, lvl, index, mode)
+    return _snapshot(labels, sep, lvl)
 
 
 def analyze_traced(circuit: CircuitAst,
@@ -171,19 +192,17 @@ def analyze_traced(circuit: CircuitAst,
                    ) -> tuple[AbstractState, list[TraceStep]]:
     """Like analyze(), also returning one TraceStep per gate.
 
-    The state is copied only after a gate that changed it; a step whose
-    state did not change shares the previous step's read-only snapshot.
+    A snapshot is taken only after a gate whose rule reports a change; a
+    step whose state did not change shares the previous step's read-only
+    snapshot.
     """
-    st = init_state(validate(circuit))
-    snap = st.copy()
+    labels, sep, lvl = _start(circuit)
+    snap = _snapshot(labels, sep, lvl)
     steps: list[TraceStep] = []
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
         rule = rules(gate.kind)
-        if rule is not None:
-            rule(st, index, mode)
-            # by value, as the rules mutate labels in place
-            if st != snap:
-                snap = st.copy()
+        if rule is not None and rule(labels, sep, lvl, index, mode):
+            snap = _snapshot(labels, sep, lvl)
         steps.append(TraceStep(gate.kind, index, snap))
-    return st, steps
+    return AbstractState(labels, snap.sep, snap.lvl), steps

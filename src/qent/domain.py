@@ -3,10 +3,18 @@
 The analysis state is a triple: a basis label per qubit, a partition of
 qubits into possibly-entangled groups, and a partition recording which
 qubits are known to collapse together ("levels"). A partition is stored
-as one tuple whose entry i is the frozenset block holding qubit i, and
+as a sequence whose entry i is the frozenset block holding qubit i, and
 all members of a block share one frozenset object; {{0,1}, {2,3}, {4}} is
-(b01, b01, b23, b23, b4). Two partitions are equal exactly when their
-tuples are, which makes state comparison in tests a plain equality check.
+(b01, b01, b23, b23, b4). A `Partition` holds that sequence as a tuple, so
+two partitions are equal exactly when their tuples are, which makes state
+comparison in tests a plain equality check.
+
+Each partition operation (join, split, swap) is written once, as a private
+function that updates a member list in place: it re-points only the
+members of the blocks it changes, O(|Bi| + |Bj|), and reports whether it
+changed anything. An analysis run keeps its two partitions as such lists
+and builds `Partition` values only where it hands a state out; the
+`Partition` methods copy the tuple into a list and run the same function.
 """
 
 from __future__ import annotations
@@ -28,13 +36,59 @@ class BasisLabel(Enum):
     __hash__ = object.__hash__
 
 
+def _join(members: list[frozenset[int]], i: int, j: int) -> bool:
+    """Unite the blocks of i and j in place; False if they are one block."""
+    bi = members[i]
+    if j in bi:
+        return False
+    block = bi | members[j]
+    for m in block:
+        members[m] = block
+    return True
+
+
+def _split(members: list[frozenset[int]], i: int) -> bool:
+    """Move i into its own singleton block in place; False if it is one."""
+    bi = members[i]
+    if len(bi) == 1:
+        return False
+    rest = bi - {i}
+    for m in rest:
+        members[m] = rest
+    members[i] = frozenset((i,))
+    return True
+
+
+def _swap(members: list[frozenset[int]], i: int, j: int) -> bool:
+    """Exchange the block memberships of i and j in place; False if no
+    block changes (i and j share a block, or both are singletons)."""
+    bi, bj = members[i], members[j]
+    if j in bi or len(bi) == len(bj) == 1:
+        return False
+    for block in (bi - {i} | {j}, bj - {j} | {i}):
+        for m in block:
+            members[m] = block
+    return True
+
+
+def _swap_adjacent(labels: list[BasisLabel], sep: list[frozenset[int]],
+                   lvl: list[frozenset[int]], i: int, mode=None) -> bool:
+    """Exchange wires i and i+1 across the labels and both member lists in
+    place; True if the state changed. A swap acts alike in every mode, so
+    mode (taken to fit the analyzer's rule signature) is ignored."""
+    j = i + 1
+    a, b = labels[i], labels[j]
+    labels[i], labels[j] = b, a
+    return (_swap(sep, i, j) | _swap(lvl, i, j)) or a is not b
+
+
 @dataclass(frozen=True)
 class Partition:
     """A set partition of {0..n-1}: members[i] is the block holding qubit i.
 
     All members of a block share one frozenset object. An operation that
-    changes nothing returns self; one that changes blocks copies the tuple
-    of references once and re-points only the members of those blocks.
+    changes nothing returns self in O(1); one that changes blocks copies the
+    tuple of references once and runs the in-place operation on the copy.
     """
 
     members: tuple[frozenset[int], ...]
@@ -70,12 +124,11 @@ class Partition:
         if not 0 <= i < len(self.members):
             raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
 
-    def _with(self, *blocks: frozenset[int]) -> Partition:
-        """A copy in which each member of each given block holds that block."""
+    def _updated(self, op, *args) -> Partition:
+        """A copy with the in-place operation op applied; called only when it
+        changes something."""
         members = list(self.members)
-        for block in blocks:
-            for m in block:
-                members[m] = block
+        op(members, *args)
         return Partition(tuple(members))
 
     def same_block(self, i: int, j: int) -> bool:
@@ -92,18 +145,16 @@ class Partition:
         """Unite the blocks of i and j."""
         self._check_index(i)
         self._check_index(j)
-        bi = self.members[i]
-        if j in bi:
+        if j in self.members[i]:
             return self
-        return self._with(bi | self.members[j])
+        return self._updated(_join, i, j)
 
     def split(self, i: int) -> Partition:
         """Move i into its own singleton block."""
         self._check_index(i)
-        bi = self.members[i]
-        if len(bi) == 1:
+        if len(self.members[i]) == 1:
             return self
-        return self._with(bi - {i}, frozenset((i,)))
+        return self._updated(_split, i)
 
     def swapped(self, i: int, j: int) -> Partition:
         """Exchange the block memberships of i and j."""
@@ -112,7 +163,7 @@ class Partition:
         bi, bj = self.members[i], self.members[j]
         if j in bi or len(bi) == len(bj) == 1:
             return self  # no block changes
-        return self._with(bi - {i} | {j}, bj - {j} | {i})
+        return self._updated(_swap, i, j)
 
     def validate(self) -> None:
         """Assert that the members form a partition (test/debug aid)."""
@@ -129,8 +180,10 @@ class Partition:
 class AbstractState:
     """Analysis state: labels, entanglement partition, level partition.
 
-    A state is owned by a single analysis run; the analyzer mutates the
-    labels list and rebinds the partitions in place.
+    A state handed out by the analyzer is owned by its caller. The public
+    single-gate updates (`swap_adjacent` here, `apply_gate` and
+    `apply_cx_at` in the analyzer) mutate the labels list and rebind the
+    partitions to new values.
     """
 
     labels: list[BasisLabel]
@@ -144,13 +197,18 @@ class AbstractState:
     def copy(self) -> AbstractState:
         return AbstractState(list(self.labels), self.sep, self.lvl)
 
+    def _apply(self, rule, *args) -> None:
+        """Run an in-place rule, rule(labels, sep, lvl, *args) over member
+        lists, on this state; rebind both partitions if it reports a change."""
+        sep, lvl = list(self.sep.members), list(self.lvl.members)
+        if rule(self.labels, sep, lvl, *args):
+            self.sep, self.lvl = Partition(tuple(sep)), Partition(tuple(lvl))
+
     def swap_adjacent(self, i: int) -> AbstractState:
         """Exchange wires i and i+1 across all three components."""
         if not 0 <= i < self.n - 1:
             raise IndexError(f"swap at {i} out of range for n={self.n}")
-        self.labels[i], self.labels[i + 1] = self.labels[i + 1], self.labels[i]
-        self.sep = self.sep.swapped(i, i + 1)
-        self.lvl = self.lvl.swapped(i, i + 1)
+        self._apply(_swap_adjacent, i)
         return self
 
 

@@ -9,8 +9,8 @@ from collections import deque
 
 import numpy as np
 
-from qent.analyzer import apply_cx_at, apply_gate
-from qent.circuit import I, Gate, GateKind, Seq, Tensor
+from qent.analyzer import AnalysisMode, apply_cx_at, apply_gate
+from qent.circuit import I, Gate, GateKind, Seq, Tensor, iter_gates
 from qent.domain import Partition, init_state
 from qent.oracle import EPS, DenseState, _bipartition_matrix, apply_cx, apply_single, apply_swap
 
@@ -67,6 +67,69 @@ class NaivePartition:
 
     def to_partition(self, n):
         return Partition.from_blocks(self.blocks, n)
+
+
+def reference_rows(circuit, mode):
+    """The row (labels, separability blocks, level blocks) after each gate of
+    circuit, by the transfer rules the analyzer's module docstring and
+    apply_cx_at state, applied to label strings and NaivePartition; a
+    reference for analyze and analyze_traced that shares none of their
+    update code. A gate that leaves the state's value unchanged gets the
+    previous row object itself, so a step that changed nothing can be told
+    apart by identity."""
+    n = circuit.height
+    levels = mode is not AnalysisMode.NO_LEVELS
+    labels = ["s"] * n
+    sep = lvl = NaivePartition.singletons(n)
+    row = (list(labels), sep.as_sorted_blocks(), lvl.as_sorted_blocks())
+    rows = []
+    for gate, q in iter_gates(circuit):
+        old = (list(labels), sep.blocks, lvl.blocks)
+        kind = gate.kind
+        if kind is GateKind.H:
+            if labels[q] != "top":
+                labels[q] = "d" if labels[q] == "s" else "s"
+            elif levels:
+                lvl = lvl.split(q)
+        elif kind is GateKind.T:
+            if labels[q] == "d":
+                labels[q] = "top"
+        elif kind is GateKind.SW:
+            labels[q], labels[q + 1] = labels[q + 1], labels[q]
+            sep, lvl = sep.swapped(q, q + 1), lvl.swapped(q, q + 1)
+        elif kind is GateKind.CX:
+            c, t = q, q + 1
+            bc, bt = labels[c], labels[t]
+            if bc == "s" or bt == "d":
+                pass
+            elif bc == "d" and bt == "s":
+                labels[c] = labels[t] = "top"
+                sep = sep.join(c, t)
+                if levels:
+                    lvl = lvl.join(c, t)
+            elif levels and lvl.same_block(c, t):
+                labels[t] = "s"
+                sep, lvl = sep.split(t), lvl.split(t)
+            else:
+                labels[c] = labels[t] = "top"
+                sep = sep.join(c, t)
+                if mode is AnalysisMode.LEVELS:
+                    lvl = lvl.split(t)
+                elif mode is AnalysisMode.UNSAFE_LEVELING and bt == "s":
+                    lvl = lvl.join(c, t)
+        if (labels, sep.blocks, lvl.blocks) != old:
+            row = (list(labels), sep.as_sorted_blocks(), lvl.as_sorted_blocks())
+        rows.append(row)
+    return rows
+
+
+def forbid(monkeypatch, owner, *names):
+    """Make each named attribute of owner raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, refuse)
 
 
 def scan_finest_partition(state):

@@ -16,9 +16,11 @@ from helpers import (
     ALL_KINDS,
     PITFALL_LEVELS_ROWS,
     PITFALL_UNSAFE_ROWS,
+    forbid,
     pad_at,
     pad_pair,
     random_circuit,
+    reference_rows,
     run_pitfall_trace,
     state_row,
 )
@@ -366,3 +368,94 @@ class TestTrace:
             final, steps = analyze_traced(c, mode)
             assert state_row(final) == state_row(steps[-1].state)
             assert state_row(final) == state_row(analyze(c, mode))
+
+
+# H and CX-heavy, so that wide blocks form, split and move under SW
+BLOCK_HEAVY = [GateKind.H, GateKind.H, GateKind.CX, GateKind.CX, GateKind.CX, GateKind.SW,
+               GateKind.SW, GateKind.T, GateKind.X]
+
+
+def check_against_reference(circuit, mode):
+    """analyze and every snapshot of analyze_traced equal reference_rows, and
+    a step shares the previous snapshot exactly when its row is unchanged."""
+    rows = reference_rows(circuit, mode)
+    final = analyze(circuit, mode)
+    assert state_row(final) == rows[-1]
+    assert_blocks_shared(final)
+    final, steps = analyze_traced(circuit, mode)
+    assert state_row(final) == rows[-1]
+    prev_state = prev_row = None
+    for step, row in zip(steps, rows, strict=True):
+        assert (step.state is prev_state) == (row is prev_row)
+        if step.state is not prev_state:
+            assert state_row(step.state) == row
+            assert_blocks_shared(step.state)
+        prev_state, prev_row = step.state, row
+
+
+def assert_blocks_shared(st):
+    """All members of a block hold one frozenset object."""
+    for partition in (st.sep, st.lvl):
+        partition.validate()
+        assert len(set(map(id, partition.members))) == len(partition.blocks())
+
+
+class TestAgainstReference:
+    """The in-place analysis against a reference over NaivePartition."""
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_narrow_circuits(self, mode):
+        rng = random.Random(61)
+        for k in range(300):
+            kinds = BLOCK_HEAVY if k % 2 else ALL_KINDS
+            circuit = random_circuit(rng, rng.randint(1, 12), rng.randint(1, 12), kinds)
+            check_against_reference(circuit, mode)
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_wide_circuits(self, mode):
+        # wide blocks are where re-pointing only a changed block's members
+        # could leave a stale reference behind
+        rng = random.Random(67)
+        for k in range(6):
+            kinds = BLOCK_HEAVY if k % 3 else ALL_KINDS
+            circuit = random_circuit(rng, rng.randint(64, 512), rng.randint(2, 6), kinds)
+            check_against_reference(circuit, mode)
+
+
+class TestUpdateCost:
+    """The analysis runs the in-place rules on member lists: it calls no
+    Partition operation, which would copy all n block references, and a
+    trace never compares two states."""
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_analysis_calls_no_partition_operation(self, monkeypatch, mode):
+        rng = random.Random(71)
+        circuits = [random_circuit(rng, rng.randint(1, 100), rng.randint(1, 8), BLOCK_HEAVY)
+                    for _ in range(20)]
+        forbid(monkeypatch, Partition, "join", "split", "swapped")
+        for circuit in circuits:
+            check_against_reference(circuit, mode)
+
+    @pytest.mark.parametrize("kinds", [
+        [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z],
+        # without H no wire leaves s: every T, CX and SW is a no-op
+        [GateKind.I, GateKind.X, GateKind.T, GateKind.CX, GateKind.SW],
+    ], ids=["paulis", "no-h"])
+    def test_trace_of_no_op_gates_compares_no_states(self, monkeypatch, kinds):
+        circuit = random_circuit(random.Random(73), 1024, 20, kinds)
+        forbid(monkeypatch, AbstractState, "__eq__")
+        forbid(monkeypatch, Partition, "__eq__")
+        final, steps = analyze_traced(circuit)
+        assert len(steps) > 10000
+        assert len({id(step.state) for step in steps}) == 1
+        assert state_row(final) == state_row(init_state(1024))
+
+    def test_trace_compares_no_states(self, monkeypatch):
+        rng = random.Random(79)
+        circuits = [random_circuit(rng, rng.randint(1, 64), rng.randint(1, 10), BLOCK_HEAVY)
+                    for _ in range(20)]
+        forbid(monkeypatch, AbstractState, "__eq__")
+        forbid(monkeypatch, Partition, "__eq__")
+        for mode in AnalysisMode:
+            for circuit in circuits:
+                check_against_reference(circuit, mode)

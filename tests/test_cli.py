@@ -18,9 +18,10 @@ import pytest
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
 from qent.circuit import GateKind, parse_circuit, unparse
-from qent.cli import _soundness_doc, document_to_state, main, state_to_document
+from qent.cli import _soundness_doc, _split_pairs, document_to_state, main, state_to_document
+from qent.domain import Partition
 from qent.oracle import check_soundness, simulate
-from helpers import ALL_KINDS, random_circuit, state_row
+from helpers import ALL_KINDS, forbid, random_circuit, reference_rows, state_row
 
 
 @pytest.fixture
@@ -449,6 +450,87 @@ class TestCompare:
     def test_propagates_validation_errors(self, qc, capsys):
         code, _, err = run(capsys, ["compare", qc("H oo CX")])
         assert code == 2
+
+
+def set_partitions(n):
+    """Every set partition of range(n), as lists of blocks."""
+    blocks: list[list[int]] = []
+
+    def grow(k):
+        if k == n:
+            yield [list(block) for block in blocks]
+            return
+        for block in blocks:
+            block.append(k)
+            yield from grow(k + 1)
+            block.pop()
+        blocks.append([k])
+        yield from grow(k + 1)
+        blocks.pop()
+
+    return grow(0)
+
+
+class TestComparePairs:
+    """compare's pairs come from grouping each no-levels block by levels
+    block; the pairs inside one group are never visited."""
+
+    def test_equal_to_all_pairs_scan_on_every_small_partition_pair(self):
+        for n, bell in enumerate([1, 1, 2, 5, 15, 52]):
+            partitions = [Partition.from_blocks(blocks, n) for blocks in set_partitions(n)]
+            assert len(partitions) == bell
+            for coarse in partitions:
+                for fine in partitions:
+                    assert _split_pairs(coarse, fine) == [
+                        (i, j) for i, j in combinations(range(n), 2)
+                        if coarse.same_block(i, j) and not fine.same_block(i, j)]
+
+    def test_one_wide_block_tests_no_pair(self, qc, capsys, monkeypatch):
+        # H on every even wire, CX on (2k, 2k+1), then CX on (2k+1, 2k+2):
+        # one block of all 2048 qubits in both modes, so no pair to print
+        n = 2048
+        text = (" ** ".join(["H ** I"] * (n // 2)) + "\noo " + " ** ".join(["CX"] * (n // 2))
+                + "\noo I ** " + " ** ".join(["CX"] * (n // 2 - 1)) + " ** I\n")
+        forbid(monkeypatch, Partition, "join", "split", "swapped", "same_block")
+        code, out, _ = run(capsys, ["compare", qc(text)])
+        assert code == 0
+        tops = "labels: " + " ".join(["top"] * n)
+        block = "separability: {" + ",".join(map(str, range(n))) + "}"
+        singles = " ".join("{" + str(q) + "}" for q in range(2, n))
+        assert out.splitlines() == [
+            f"qubits: {n}",
+            f"levels:    {tops} | {block} | levels: {{0,1}} {singles}",
+            f"no-levels: {tops} | {block} | levels: {{0}} {{1}} {singles}",
+            "more precise on: (none)",
+        ]
+
+    def test_equal_to_reference_without_partition_operations(self, qc, capsys, monkeypatch):
+        rng = random.Random(101)
+        circuits = [random_circuit(rng, rng.randint(1, 96), rng.randint(1, 8), SWAP_HEAVY)
+                    for _ in range(20)]
+        forbid(monkeypatch, Partition, "join", "split", "swapped", "same_block")
+
+        def text(row):
+            labels, sep, lvl = row
+            return " | ".join([
+                "labels: " + " ".join(labels),
+                "separability: " + " ".join("{" + ",".join(map(str, b)) + "}" for b in sep),
+                "levels: " + " ".join("{" + ",".join(map(str, b)) + "}" for b in lvl)])
+
+        for circuit in circuits:
+            fine = reference_rows(circuit, AnalysisMode.LEVELS)[-1]
+            coarse = reference_rows(circuit, AnalysisMode.NO_LEVELS)[-1]
+            block_of = {q: block for block in fine[1] for q in block}
+            delta = sorted((i, j) for block in coarse[1] for i, j in combinations(block, 2)
+                           if j not in block_of[i])
+            code, out, _ = run(capsys, ["compare", qc(unparse(circuit))])
+            assert code == 0
+            assert out.splitlines() == [
+                f"qubits: {circuit.height}",
+                "levels:    " + text(fine),
+                "no-levels: " + text(coarse),
+                "more precise on: " + (" ".join(f"({i},{j})" for i, j in delta) or "(none)"),
+            ]
 
 
 class TestRobustness:
