@@ -4,6 +4,10 @@ Parses a small circuit language, over-approximates which qubits are
 entangled (and which are known to collapse together) by abstract
 interpretation, and ships an exact statevector oracle for checking the
 analysis against ground truth on small circuits.
+
+The oracle's names (`simulate`, `check_soundness` and the rest) are loaded
+from `qent.oracle` on first access, so `import qent` and the analysis never
+import numpy; only the exact oracle needs it.
 """
 
 from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced, apply_cx_at, apply_gate
@@ -21,16 +25,28 @@ from .circuit import (
     validate,
 )
 from .domain import AbstractState, BasisLabel, Partition, init_state
-from .oracle import (
-    ConcreteBasis,
-    DenseState,
-    SoundnessReport,
-    basis_oracle,
-    check_soundness,
-    finest_separable_partition,
-    levels_oracle,
-    simulate,
-)
+
+_ORACLE_NAMES = frozenset({
+    "ConcreteBasis",
+    "DenseState",
+    "SoundnessReport",
+    "basis_oracle",
+    "check_soundness",
+    "finest_separable_partition",
+    "levels_oracle",
+    "simulate",
+})
+
+
+def __getattr__(name: str):
+    """Resolve an oracle name on first access, importing qent.oracle."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
 
 __all__ = [
     "AbstractState",

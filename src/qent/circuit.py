@@ -159,6 +159,12 @@ CX = Gate(GateKind.CX)
 
 GATES = {g.kind.value: g for g in (I, X, Y, Z, H, T, SW, CX)}
 
+# The widest circuit the exact oracle simulates unless given another limit
+# (qent.oracle.simulate's max_qubits, the CLI's --max-oracle-qubits). It is
+# defined here, away from numpy, so that the CLI can show it without loading
+# the oracle.
+DEFAULT_QUBIT_LIMIT = 12
+
 
 class CircuitSyntaxError(Exception):
     """Raised on malformed circuit text; carries 1-based line/column."""

@@ -7,7 +7,8 @@
 Exit codes: 0 success, 1 parse error or stdout closed early or not
 writable (no traceback), 2 validation error (a sequence of circuits of
 different heights, reported at the `oo`'s line:col; or oracle qubit limit
-exceeded, or too little memory for the oracle), 3 soundness violation.
+exceeded, or too little memory for the oracle, or numpy cannot be imported
+for --check-oracle), 3 soundness violation.
 Diagnostics go to stderr; results to stdout. Output is deterministic for a
 given input file and flags.
 
@@ -24,6 +25,12 @@ previous snapshot's text.
 block by grouping each no-levels block's members by their levels block,
 so it costs O(n) plus the pairs it prints (and their sort), not the
 square of a block's size.
+
+Only --check-oracle imports the exact oracle, and numpy with it; `analyze`,
+`compare` and `--trace` never load either. The oracle's `simulate`,
+`check_soundness` and `QubitLimitError` become globals of this module on
+first use or first attribute access, and the command calls them through
+those globals, so a replacement set on the module is what runs.
 """
 
 from __future__ import annotations
@@ -33,18 +40,39 @@ import json
 import os
 import sys
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
-from .circuit import CircuitSyntaxError, GateKind, ValidationError, parse_circuit
+from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitSyntaxError, GateKind, ValidationError,
+                      parse_circuit)
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
-from .oracle import (DEFAULT_QUBIT_LIMIT, QubitLimitError, SoundnessReport, check_soundness,
-                     simulate)
+
+if TYPE_CHECKING:
+    from .oracle import SoundnessReport
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_UNSOUND = 3
+
+_ORACLE_NAMES = ("simulate", "check_soundness", "QubitLimitError")
+
+
+def _load_oracle() -> None:
+    """Import qent.oracle (and numpy) and bind the oracle names that are not
+    yet globals of this module; a name set from outside is kept."""
+    from . import oracle
+
+    for name in _ORACLE_NAMES:
+        globals().setdefault(name, getattr(oracle, name))
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_oracle()
+    return globals()[name]
 
 
 def _state_fields(state: AbstractState) -> dict:
@@ -249,6 +277,11 @@ def _cmd_analyze(args) -> int:
 
     report = None
     if args.check_oracle:
+        try:
+            _load_oracle()
+        except ImportError as err:
+            print(f"error: --check-oracle needs numpy: {err}", file=sys.stderr)
+            return EXIT_VALIDATION
         try:
             report = check_soundness(state, simulate(circuit, max_qubits=args.max_oracle_qubits))
         except QubitLimitError as err:

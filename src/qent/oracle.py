@@ -8,7 +8,8 @@ and every check uses one tolerance, EPS. simulate fuses each wire's run of
 single-qubit gates into the next two-qubit gate on that wire, so its passes
 over the state grow with the CX/SW gates plus n, not with all gates.
 Everything here is exponential in n. Only simulate turns a circuit into 2^n
-amplitudes, so it alone refuses circuits over its qubit limit (default 12).
+amplitudes, so it alone refuses circuits over its qubit limit (default
+DEFAULT_QUBIT_LIMIT, from qent.circuit).
 
 Checks provided:
 
@@ -36,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import CircuitAst, GateKind, iter_gates, validate
+from .circuit import DEFAULT_QUBIT_LIMIT, CircuitAst, GateKind, iter_gates, validate
 from .domain import AbstractState, BasisLabel, Partition
 
 EPS = 1e-9
@@ -53,7 +54,6 @@ EPS = 1e-9
 # SVDs, never a different result: components stay inside blocks, and the
 # block the peel finds is unique.
 PAIR_EPS = 1e-6
-DEFAULT_QUBIT_LIMIT = 12
 
 _SQRT2 = np.sqrt(2.0)
 # Two-wire gates act on wires (q, q + 1), the upper wire the more

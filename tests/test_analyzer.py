@@ -276,13 +276,23 @@ class TestModeInvariants:
             yield random_circuit(rng, rng.randint(1, 6), rng.randint(1, 15))
 
     def test_levels_blocks_are_pairs_inside_sep(self):
-        for c in self._random_circuits(200, 31):
+        """The bound on partition work rests on this: in LEVELS a level block
+        is one qubit or a pair of `top` qubits in one separability block, so
+        no `s`/`d` qubit is ever leveled. (UNSAFE_LEVELING breaks it.)"""
+        rng = random.Random(21)
+        wide = (random_circuit(rng, rng.randint(2, 24), rng.randint(1, 30)) for _ in range(500))
+        pairs = 0
+        for c in [*self._random_circuits(200, 31), *wide]:
             _, steps = analyze_traced(c, LEVELS)
             for step in steps:
+                labels = step.state.labels
                 for block in step.state.lvl.blocks():
                     if len(block) > 1:
                         assert len(block) == 2
                         assert step.state.sep.same_block(block[0], block[1])
+                        assert [labels[m] for m in block] == [BasisLabel.TOP] * 2
+                        pairs += 1
+        assert pairs > 0
 
     def test_no_levels_keeps_lvl_singleton(self):
         for c in self._random_circuits(200, 37):

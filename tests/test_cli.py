@@ -17,7 +17,7 @@ import pytest
 
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
-from qent.circuit import GateKind, parse_circuit, unparse
+from qent.circuit import DEFAULT_QUBIT_LIMIT, GateKind, parse_circuit, unparse
 from qent.cli import _soundness_doc, _split_pairs, document_to_state, main, state_to_document
 from qent.domain import Partition
 from qent.oracle import check_soundness, simulate
@@ -557,6 +557,99 @@ class TestRobustness:
             for argv in self.ARGVS:
                 code, _, _ = run(capsys, [argv[0], str(path), *argv[1:]])
                 assert code in (0, 1, 2, 3)
+
+
+# Runs `import qent, qent.cli`, then main() on each argv given as JSON, and
+# prints which of numpy and qent.oracle were loaded after each step.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import qent, qent.cli
+
+def loaded():
+    return sorted({"numpy", "qent.oracle"} & set(sys.modules))
+
+seen = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qent.cli.main(argv)
+    seen.append([" ".join(argv[:1] + argv[2:]), code, loaded()])
+seen.append(["qent.simulate is qent.oracle.simulate",
+             qent.simulate is sys.modules["qent.oracle"].simulate, loaded()])
+print(json.dumps(seen))
+"""
+
+# As a process without numpy: the import of numpy fails, then main runs.
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import qent.cli
+sys.exit(qent.cli.main(sys.argv[1:]))
+"""
+
+
+class TestOracleImport:
+    """Only --check-oracle imports the exact oracle, and numpy with it."""
+
+    def python(self, code, *args):
+        src = str(Path(qent.__file__).resolve().parent.parent)
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60)
+
+    def test_only_check_oracle_loads_numpy(self, qc):
+        path = qc("H ** I oo CX")
+        argvs = [["analyze", path], ["analyze", path, "--format", "json"],
+                 ["analyze", path, "--trace"], ["analyze", path, "--trace", "--format", "json"],
+                 ["compare", path], ["analyze", path, "--check-oracle"]]
+        done = self.python(_IMPORT_PROBE, json.dumps(argvs))
+        assert done.returncode == 0, done.stderr
+        oracle = ["numpy", "qent.oracle"]
+        assert json.loads(done.stdout) == [
+            ["import", 0, []],
+            ["analyze", 0, []],
+            ["analyze --format json", 0, []],
+            ["analyze --trace", 0, []],
+            ["analyze --trace --format json", 0, []],
+            ["compare", 0, []],
+            ["analyze --check-oracle", 0, oracle],
+            ["qent.simulate is qent.oracle.simulate", True, oracle],
+        ]
+
+    def test_oracle_names_resolve_on_access(self):
+        import qent.oracle
+
+        assert qent.cli.simulate is qent.oracle.simulate
+        assert qent.cli.check_soundness is qent.oracle.check_soundness
+        assert qent.cli.QubitLimitError is qent.oracle.QubitLimitError
+        for module in (qent, qent.cli):
+            with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+                module.not_a_name
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_oracle_without_numpy_exits_2(self, qc, fmt):
+        path = qc("H ** I oo CX")
+        done = self.python(_NO_NUMPY, "analyze", path, "--format", fmt)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout
+        done = self.python(_NO_NUMPY, "analyze", path, "--format", fmt, "--check-oracle")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: --check-oracle needs numpy: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_qubit_limit_has_one_definition(self, qc, capsys):
+        import qent.oracle
+
+        src = Path(qent.__file__).resolve().parent
+        assert [p.name for p in sorted(src.glob("*.py"))
+                if "\nDEFAULT_QUBIT_LIMIT =" in p.read_text(encoding="utf-8")] == ["circuit.py"]
+        assert qent.oracle.DEFAULT_QUBIT_LIMIT == DEFAULT_QUBIT_LIMIT
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert f"(default: {DEFAULT_QUBIT_LIMIT})" in " ".join(capsys.readouterr().out.split())
+        wires = DEFAULT_QUBIT_LIMIT + 1
+        assert run(capsys, ["analyze", qc(" ** ".join(["I"] * wires)), "--check-oracle"]) == (
+            2, "", f"error: {wires} qubits exceeds the simulation limit of {DEFAULT_QUBIT_LIMIT}\n")
 
 
 class TestDocumentHelpers:
