@@ -43,8 +43,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
-from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitSyntaxError, GateKind, ValidationError,
-                      parse_circuit)
+from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitAst, CircuitSyntaxError, GateKind,
+                      ValidationError, parse_circuit)
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
 
@@ -92,19 +92,6 @@ def state_to_document(state: AbstractState, mode: AnalysisMode,
         doc["trace"] = [{"gate": step.gate.value, "index": step.index, **_state_fields(step.state)}
                         for step in trace]
     return doc
-
-
-def document_to_state(doc: dict) -> AbstractState:
-    """Rebuild the AbstractState a document was serialized from."""
-    n = doc["qubits"]
-    labels = [BasisLabel(value) for value in doc["labels"]]
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} qubits")
-    return AbstractState(
-        labels,
-        Partition.from_blocks(doc["separability"], n),
-        Partition.from_blocks(doc["levels"], n),
-    )
 
 
 _PAD = " " * 6  # the indentation of a trace entry's fields in the JSON document
@@ -264,18 +251,20 @@ def _load(path: str):
     return circuit, EXIT_OK
 
 
+def _no_memory(circuit: CircuitAst) -> int:
+    print(f"error: {circuit.height} qubits: not enough memory for the exact oracle",
+          file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def _cmd_analyze(args) -> int:
     circuit, status = _load(args.file)
     if circuit is None:
         return status
     mode = AnalysisMode(args.mode)
 
-    if args.trace:
-        state, trace = analyze_traced(circuit, mode)
-    else:
-        state, trace = analyze(circuit, mode), None
-
-    report = None
+    # the oracle's refusals come before the analysis, which they would waste
+    exact = None
     if args.check_oracle:
         try:
             _load_oracle()
@@ -283,14 +272,24 @@ def _cmd_analyze(args) -> int:
             print(f"error: --check-oracle needs numpy: {err}", file=sys.stderr)
             return EXIT_VALIDATION
         try:
-            report = check_soundness(state, simulate(circuit, max_qubits=args.max_oracle_qubits))
+            exact = simulate(circuit, max_qubits=args.max_oracle_qubits)
         except QubitLimitError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_VALIDATION
         except MemoryError:
-            print(f"error: {state.n} qubits: not enough memory for the exact oracle",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            return _no_memory(circuit)
+
+    if args.trace:
+        state, trace = analyze_traced(circuit, mode)
+    else:
+        state, trace = analyze(circuit, mode), None
+
+    report = None
+    if exact is not None:
+        try:
+            report = check_soundness(state, exact)
+        except MemoryError:
+            return _no_memory(circuit)
 
     if args.format == "json":
         _print_json(state, mode, trace, report)

@@ -14,7 +14,9 @@ function that updates a member list in place: it re-points only the
 members of the blocks it changes, O(|Bi| + |Bj|), and reports whether it
 changed anything. An analysis run keeps its two partitions as such lists
 and builds `Partition` values only where it hands a state out; the
-`Partition` methods copy the tuple into a list and run the same function.
+`Partition` methods copy the tuple into a list, run the same function, and
+return the receiver if it reports no change. `from_blocks(p.blocks(), n)`
+rebuilds p's members exactly when they form a partition.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ def _swap_adjacent(labels: list[BasisLabel], sep: list[frozenset[int]],
 class Partition:
     """A set partition of {0..n-1}: members[i] is the block holding qubit i.
 
-    All members of a block share one frozenset object. An operation that
-    changes nothing returns self in O(1); one that changes blocks copies the
-    tuple of references once and runs the in-place operation on the copy.
+    All members of a block share one frozenset object. An operation copies
+    the tuple of references once, runs the in-place operation on the copy,
+    and returns self instead when that reports no change.
     """
 
     members: tuple[frozenset[int], ...]
@@ -120,20 +122,20 @@ class Partition:
             raise ValueError(f"qubits {missing} missing from blocks")
         return cls(tuple(members))
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.members):
-            raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
+    def _check_index(self, *qubits: int) -> None:
+        for i in qubits:
+            if not 0 <= i < len(self.members):
+                raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
 
-    def _updated(self, op, *args) -> Partition:
-        """A copy with the in-place operation op applied; called only when it
-        changes something."""
+    def _updated(self, op, *qubits: int) -> Partition:
+        """A copy with the in-place operation op applied at the qubits, or
+        self when op reports no change."""
+        self._check_index(*qubits)
         members = list(self.members)
-        op(members, *args)
-        return Partition(tuple(members))
+        return Partition(tuple(members)) if op(members, *qubits) else self
 
     def same_block(self, i: int, j: int) -> bool:
-        self._check_index(i)
-        self._check_index(j)
+        self._check_index(i, j)
         return j in self.members[i]
 
     def blocks(self) -> list[list[int]]:
@@ -143,37 +145,15 @@ class Partition:
 
     def join(self, i: int, j: int) -> Partition:
         """Unite the blocks of i and j."""
-        self._check_index(i)
-        self._check_index(j)
-        if j in self.members[i]:
-            return self
         return self._updated(_join, i, j)
 
     def split(self, i: int) -> Partition:
         """Move i into its own singleton block."""
-        self._check_index(i)
-        if len(self.members[i]) == 1:
-            return self
         return self._updated(_split, i)
 
     def swapped(self, i: int, j: int) -> Partition:
         """Exchange the block memberships of i and j."""
-        self._check_index(i)
-        self._check_index(j)
-        bi, bj = self.members[i], self.members[j]
-        if j in bi or len(bi) == len(bj) == 1:
-            return self  # no block changes
         return self._updated(_swap, i, j)
-
-    def validate(self) -> None:
-        """Assert that the members form a partition (test/debug aid)."""
-        members = self.members
-        for i, block in enumerate(members):
-            if i not in block:
-                raise AssertionError(f"qubit {i} is not in its own block {sorted(block)}")
-            for m in block:
-                if not 0 <= m < len(members) or members[m] != block:
-                    raise AssertionError(f"qubit {m} of block {sorted(block)} holds another block")
 
 
 @dataclass

@@ -3,10 +3,11 @@
 Ground truth for differential testing of the static analysis. States are
 dense complex vectors of length 2^n with qubit 0 as the most significant
 bit of the basis index, matching left-to-right ket notation. Every gate
-comes from one unitary table, goes through one kernel on contiguous wires,
-and every check uses one tolerance, EPS. simulate fuses each wire's run of
-single-qubit gates into the next two-qubit gate on that wire, so its passes
-over the state grow with the CX/SW gates plus n, not with all gates.
+comes from one unitary table and every check uses one tolerance, EPS.
+There is one gate kernel, _apply, on contiguous wires, as every gate of a
+circuit acts; simulate is its one caller. simulate fuses each wire's run
+of single-qubit gates into the next two-qubit gate on that wire, so its
+passes over the state grow with the CX/SW gates plus n, not with all gates.
 Everything here is exponential in n. Only simulate turns a circuit into 2^n
 amplitudes, so it alone refuses circuits over its qubit limit (default
 DEFAULT_QUBIT_LIMIT, from qent.circuit).
@@ -126,40 +127,6 @@ def _apply(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
     if above <= psi.shape[2]:
         return (u @ psi).reshape(-1)
     return (psi.transpose(2, 0, 1) @ u.T).transpose(1, 2, 0).reshape(-1)
-
-
-def _apply_pair(state: DenseState, kind: GateKind, i: int, j: int) -> DenseState:
-    """Apply a two-wire gate at wires (i, j), i first: both axes are moved
-    to the front, the gate applied at wire 0, and the axes moved back."""
-    if not (0 <= i < state.n and 0 <= j < state.n):
-        raise IndexError(f"{kind.value}({i},{j}) out of range for n={state.n}")
-    shape = (2,) * state.n
-    psi = np.moveaxis(state.amps.reshape(shape), (i, j), (0, 1))
-    psi = _apply(psi.reshape(-1), _UNITARY[kind], 0)
-    return DenseState(state.n, np.moveaxis(psi.reshape(shape), (0, 1), (i, j)))
-
-
-def apply_single(state: DenseState, kind: GateKind, q: int) -> DenseState:
-    """Apply a single-qubit unitary at wire q."""
-    if kind.height != 1:
-        raise ValueError(f"{kind.value} is a two-wire gate; use apply_cx or apply_swap")
-    if not 0 <= q < state.n:
-        raise IndexError(f"{kind.value} at {q} out of range for n={state.n}")
-    return DenseState(state.n, _apply(state.amps, _UNITARY[kind], q))
-
-
-def apply_cx(state: DenseState, control: int, target: int) -> DenseState:
-    """Apply CX with arbitrary control/target wires."""
-    if control == target:
-        raise ValueError("cx control and target must differ")
-    return _apply_pair(state, GateKind.CX, control, target)
-
-
-def apply_swap(state: DenseState, i: int, j: int) -> DenseState:
-    """Swap wires i and j."""
-    if i == j:
-        raise ValueError("swap wires must differ")
-    return _apply_pair(state, GateKind.SW, i, j)
 
 
 def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> DenseState:
@@ -302,17 +269,12 @@ class SoundnessReport:
 
     violations: list[tuple[str, object, str]] = field(default_factory=list)
 
-    @property
-    def entanglement_ok(self) -> bool:
-        return all(kind != "entanglement" for kind, _, _ in self.violations)
+    def _none_of(self, kind: str) -> bool:
+        return all(k != kind for k, _, _ in self.violations)
 
-    @property
-    def level_ok(self) -> bool:
-        return all(kind != "level" for kind, _, _ in self.violations)
-
-    @property
-    def label_ok(self) -> bool:
-        return all(kind != "label" for kind, _, _ in self.violations)
+    entanglement_ok = property(lambda self: self._none_of("entanglement"))
+    level_ok = property(lambda self: self._none_of("level"))
+    label_ok = property(lambda self: self._none_of("label"))
 
     @property
     def ok(self) -> bool:

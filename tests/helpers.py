@@ -12,12 +12,61 @@ import numpy as np
 from qent.analyzer import AnalysisMode, apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor, iter_gates
 from qent.domain import Partition, init_state
-from qent.oracle import EPS, DenseState, _bipartition_matrix, apply_cx, apply_single, apply_swap
+from qent.oracle import _UNITARY, EPS, DenseState, _apply, _bipartition_matrix
 
 SINGLE_QUBIT = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.T]
 TWO_QUBIT = [GateKind.SW, GateKind.CX]
 ALL_KINDS = SINGLE_QUBIT + TWO_QUBIT
 T_FREE = (GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.CX, GateKind.SW)
+
+RT2 = 1 / np.sqrt(2)
+
+# Reference matrices, written out here apart from the oracle's own table.
+# Wire 0 is the leftmost Kronecker factor, the most significant bit.
+REF_1Q = {
+    GateKind.I: np.array([[1, 0], [0, 1]]),
+    GateKind.X: np.array([[0, 1], [1, 0]]),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]]),
+    GateKind.Z: np.array([[1, 0], [0, -1]]),
+    GateKind.H: np.array([[1, 1], [1, -1]]) * RT2,
+    GateKind.T: np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]]),
+}
+KET_BRA = {(a, b): np.outer(np.eye(2)[a], np.eye(2)[b]) for a in (0, 1) for b in (0, 1)}
+
+
+def ref_op(n, factors):
+    """The 2^n x 2^n Kronecker product of factors[q] over wires q, with the
+    identity on the wires not named."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def ref_cx(n, control, target):
+    """CX on any two distinct wires, control and target in either order."""
+    return ref_op(n, {control: KET_BRA[0, 0]}) + ref_op(n, {control: KET_BRA[1, 1],
+                                                            target: REF_1Q[GateKind.X]})
+
+
+def ref_swap(n, i, j):
+    # |x y> -> |y x>, as the sum of |a><b| (x) |b><a|
+    return sum(ref_op(n, {i: KET_BRA[a, b], j: KET_BRA[b, a]}) for a, b in KET_BRA)
+
+
+def ref_gate(n, kind, q):
+    """The reference matrix of a gate of kind at base wire q, on wires q and
+    q + 1 for CX and SW, as a circuit places it."""
+    if kind is GateKind.CX:
+        return ref_cx(n, q, q + 1)
+    if kind is GateKind.SW:
+        return ref_swap(n, q, q + 1)
+    return ref_op(n, {q: REF_1Q[kind]})
+
+
+def ref_apply(state, matrix):
+    """The state with a reference matrix applied."""
+    return DenseState(state.n, matrix @ state.amps)
 
 
 class NaivePartition:
@@ -67,6 +116,13 @@ class NaivePartition:
 
     def to_partition(self, n):
         return Partition.from_blocks(self.blocks, n)
+
+
+def validate_partition(p):
+    """Raise unless p's members form a partition: rebuilding it from its
+    blocks must give the same members. Compares members, not partitions,
+    so that no Partition.__eq__ runs."""
+    assert Partition.from_blocks(p.blocks(), len(p.members)).members == p.members
 
 
 def reference_rows(circuit, mode):
@@ -282,13 +338,9 @@ def rounded_key(state):
 
 
 def concrete_step(state, kind, q):
-    """The exact state after one gate of kind at wire q (wires q, q + 1 for
-    CX and SW)."""
-    if kind is GateKind.CX:
-        return apply_cx(state, q, q + 1)
-    if kind is GateKind.SW:
-        return apply_swap(state, q, q + 1)
-    return apply_single(state, kind, q)
+    """The exact state after one gate of kind at base wire q (wires q, q + 1
+    for CX and SW), through the oracle's gate table and its one kernel."""
+    return DenseState(state.n, _apply(state.amps, _UNITARY[kind], q))
 
 
 def reachable_pairs(n, mode, key, kinds=T_FREE, depth=None):

@@ -29,8 +29,6 @@ from qent.domain import AbstractState, BasisLabel, Partition
 from qent.oracle import (
     ConcreteBasis,
     DenseState,
-    apply_cx,
-    apply_single,
     basis_oracle,
     check_soundness,
     finest_separable_partition,
@@ -42,12 +40,18 @@ from helpers import (
     SINGLE_QUBIT,
     PITFALL_LEVELS_ROWS,
     PITFALL_UNSAFE_ROWS,
+    REF_1Q,
     NaivePartition,
+    concrete_step,
     pad_at,
     pad_pair,
     random_circuit,
+    ref_apply,
+    ref_cx,
+    ref_op,
     run_pitfall_trace,
     state_row,
+    validate_partition,
 )
 
 EPS = 1e-9
@@ -85,7 +89,7 @@ def test_c2_corrected_semantics_divergence():
     assert safe_rows == PITFALL_LEVELS_ROWS
 
     # exact final state: (|000> + |110>)/sqrt(2), built directly and
-    # cross-checked by simulating the sequence at index level
+    # cross-checked by applying the sequence's Kronecker references
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = amps[0b110] = RT2
     exact = DenseState(3, amps)
@@ -93,9 +97,9 @@ def test_c2_corrected_semantics_divergence():
     for op, arg in [("H", 0), ("CX", (0, 1)), ("CX", (1, 0)), ("H", 1),
                     ("CX", (1, 2)), ("H", 0), ("CX", (0, 1)), ("CX", (2, 1))]:
         if op == "H":
-            sim = apply_single(sim, GateKind.H, arg)
+            sim = ref_apply(sim, ref_op(3, {arg: REF_1Q[GateKind.H]}))
         else:
-            sim = apply_cx(sim, arg[0], arg[1])
+            sim = ref_apply(sim, ref_cx(3, arg[0], arg[1]))
     assert np.allclose(sim.amps, exact.amps, atol=EPS)
 
     safe_report = check_soundness(final_safe, exact)
@@ -161,7 +165,7 @@ def test_c5_partition_canonical_property_suite():
             else:
                 i = rng.randrange(n - 1)
                 part, naive = part.swapped(i, i + 1), naive.swapped(i, i + 1)
-            part.validate()  # raises if a canonical invariant breaks
+            validate_partition(part)  # raises if a canonical invariant breaks
             if part.blocks() != naive.as_sorted_blocks():
                 failures += 1
     report(5, "partition canonical-form property suite", failures == 0,
@@ -286,7 +290,7 @@ def _check_1q_row(kind, label_in, label_out):
     if _abstract_1q(kind, label_in) is not label_out:
         return False
     for rep in CONCRETE[label_in]:
-        out = apply_single(rep, kind, 0)
+        out = concrete_step(rep, kind, 0)
         want = BASIS_OF.get(label_out)
         got = basis_oracle(out, 0)
         if want is not None and got is not want:
@@ -305,7 +309,7 @@ def _check_cx_preserving(lc, lt):
         return False
     for control_rep in CONCRETE[lc]:
         for target_rep in CONCRETE[lt]:
-            out = apply_cx(control_rep.tensor(target_rep), 0, 1)
+            out = concrete_step(control_rep.tensor(target_rep), GateKind.CX, 0)
             if finest_separable_partition(out) != [[0], [1]]:
                 return False
             for wire, label in ((0, lc), (1, lt)):
@@ -327,7 +331,7 @@ def _check_cx_bell_row():
     ]
     for control_rep in CONCRETE[D]:
         for target_rep in CONCRETE[S]:
-            out = apply_cx(control_rep.tensor(target_rep), 0, 1)
+            out = concrete_step(control_rep.tensor(target_rep), GateKind.CX, 0)
             if not any(np.allclose(out.amps, bell, atol=EPS) for bell in bells):
                 return False
             if levels_oracle(out) != {(0, 1)}:
@@ -347,7 +351,7 @@ def test_c8_gate_rule_unit_suite():
     rows_ok["T standard"] = _check_1q_row(GateKind.T, S, S)
     rows_ok["T diagonal->top"] = _check_1q_row(GateKind.T, D, TOP)
     # T really applies the phase: T|1> = e^{i pi/4}|1>
-    t_on_one = apply_single(KET1, GateKind.T, 0)
+    t_on_one = concrete_step(KET1, GateKind.T, 0)
     rows_ok["T phase"] = np.allclose(t_on_one.amps, [0, np.exp(1j * np.pi / 4)], atol=EPS)
 
     for lc, lt in [(S, S), (S, D), (S, TOP), (D, D), (TOP, D)]:

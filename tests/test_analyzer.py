@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import qent.analyzer
 from qent.analyzer import AnalysisMode, analyze, analyze_traced, apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
@@ -23,6 +24,7 @@ from helpers import (
     reference_rows,
     run_pitfall_trace,
     state_row,
+    validate_partition,
 )
 
 S, D, TOP = BasisLabel.S, BasisLabel.D, BasisLabel.TOP
@@ -269,20 +271,55 @@ class TestParallelOrderIrrelevance:
                         assert results[0] == results[1] == results[2]
 
 
+def separability_work(monkeypatch):
+    """A function that runs analyze(circuit, mode) and returns how many joins
+    and how many splits changed the separability member list, the one that
+    analyzer._start returns: analyzer._join and _split are wrapped."""
+    seps, counts = [], {"_join": 0, "_split": 0}
+    start = qent.analyzer._start
+
+    def started(circuit):
+        labels, sep, lvl = start(circuit)
+        seps.append(sep)
+        return labels, sep, lvl
+
+    def counting(name):
+        op = getattr(qent.analyzer, name)
+
+        def counted(members, *qubits):
+            changed = op(members, *qubits)
+            counts[name] += changed and members is seps[-1]
+            return changed
+        return counted
+
+    monkeypatch.setattr(qent.analyzer, "_start", started)
+    for name in counts:
+        monkeypatch.setattr(qent.analyzer, name, counting(name))
+
+    def work(circuit, mode):
+        counts.update(dict.fromkeys(counts, 0))
+        analyze(circuit, mode)
+        return counts["_join"], counts["_split"]
+    return work
+
+
 class TestModeInvariants:
     def _random_circuits(self, count, seed):
         rng = random.Random(seed)
         for _ in range(count):
             yield random_circuit(rng, rng.randint(1, 6), rng.randint(1, 15))
 
+    def _wide_circuits(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            yield random_circuit(rng, rng.randint(2, 24), rng.randint(1, 30))
+
     def test_levels_blocks_are_pairs_inside_sep(self):
         """The bound on partition work rests on this: in LEVELS a level block
         is one qubit or a pair of `top` qubits in one separability block, so
         no `s`/`d` qubit is ever leveled. (UNSAFE_LEVELING breaks it.)"""
-        rng = random.Random(21)
-        wide = (random_circuit(rng, rng.randint(2, 24), rng.randint(1, 30)) for _ in range(500))
         pairs = 0
-        for c in [*self._random_circuits(200, 31), *wide]:
+        for c in [*self._random_circuits(200, 31), *self._wide_circuits()]:
             _, steps = analyze_traced(c, LEVELS)
             for step in steps:
                 labels = step.state.labels
@@ -293,6 +330,26 @@ class TestModeInvariants:
                         assert [labels[m] for m in block] == [BasisLabel.TOP] * 2
                         pairs += 1
         assert pairs > 0
+
+    def test_separability_work_is_bounded(self, monkeypatch):
+        """In LEVELS the separability partition splits only in CX case 3,
+        which turns a `top` target back into `s` and leaves its control a
+        `top` that is never leveled again, so over any number of gates there
+        are at most n splits; each join that changes anything removes a
+        block, so there are at most n - 1 + splits <= 2n - 1 of them. In
+        NO_LEVELS it never splits. The chain (H, CX, CX at each wire) makes
+        n - 1 splits."""
+        work = separability_work(monkeypatch)
+        for c in self._wide_circuits():
+            n = c.height
+            joins, splits = work(c, LEVELS)
+            assert splits <= n and joins <= 2 * n - 1
+            assert work(c, NO_LEVELS)[1] == 0
+        for n in range(2, 65):
+            chain = functools.reduce(Seq, [pad_at(Gate(kind), q, n) for q in range(n - 1)
+                                           for kind in (GateKind.H, GateKind.CX, GateKind.CX)])
+            assert work(chain, LEVELS) == (n - 1, n - 1)
+            assert work(chain, NO_LEVELS) == (n - 1, 0)
 
     def test_no_levels_keeps_lvl_singleton(self):
         for c in self._random_circuits(200, 37):
@@ -406,7 +463,7 @@ def check_against_reference(circuit, mode):
 def assert_blocks_shared(st):
     """All members of a block hold one frozenset object."""
     for partition in (st.sep, st.lvl):
-        partition.validate()
+        validate_partition(partition)
         assert len(set(map(id, partition.members))) == len(partition.blocks())
 
 

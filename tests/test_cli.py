@@ -18,7 +18,7 @@ import pytest
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
 from qent.circuit import DEFAULT_QUBIT_LIMIT, GateKind, parse_circuit, unparse
-from qent.cli import _soundness_doc, _split_pairs, document_to_state, main, state_to_document
+from qent.cli import _soundness_doc, _split_pairs, main, state_to_document
 from qent.domain import Partition
 from qent.oracle import check_soundness, simulate
 from helpers import ALL_KINDS, forbid, random_circuit, reference_rows, state_row
@@ -85,9 +85,8 @@ class TestAnalyze:
     def test_json_round_trips_to_state(self, qc, capsys):
         text = "H ** I ** H oo CX ** T oo SW ** I"
         code, out, _ = run(capsys, ["analyze", qc(text), "--format", "json"])
-        doc = json.loads(out)
-        rebuilt = document_to_state(doc)
-        assert state_row(rebuilt) == state_row(analyze(parse_circuit(text)))
+        final = analyze(parse_circuit(text))
+        assert json.loads(out) == state_to_document(final, AnalysisMode.LEVELS)
 
     def test_trace_round_trip(self, qc, capsys):
         text = "H ** I oo CX"
@@ -95,10 +94,7 @@ class TestAnalyze:
         doc = json.loads(out)
         final, steps = analyze_traced(parse_circuit(text))
         assert len(doc["trace"]) == len(steps)
-        for entry, step in zip(doc["trace"], steps):
-            assert entry["gate"] == step.gate.value
-            assert entry["index"] == step.index
-            assert state_row(document_to_state({"qubits": final.n, **entry})) == state_row(step.state)
+        assert doc == state_to_document(final, AnalysisMode.LEVELS, steps)
 
     def test_trace_text(self, qc, capsys):
         code, out, _ = run(capsys, ["analyze", qc("H ** I oo CX"), "--trace"])
@@ -156,11 +152,39 @@ class TestAnalyze:
             raise MemoryError("Unable to allocate 16.0 GiB")
 
         monkeypatch.setattr("qent.cli.simulate", out_of_memory)
+        forbid(monkeypatch, qent.cli, "analyze", "analyze_traced")
         code, out, err = run(capsys, ["analyze", qc(" ** ".join(["I"] * 30)),
                                       "--check-oracle", "--max-oracle-qubits", "30"])
         assert code == 2
         assert out == ""
         assert err == "error: 30 qubits: not enough memory for the exact oracle\n"
+
+    def test_check_soundness_out_of_memory_exits_2(self, qc, capsys, monkeypatch):
+        def out_of_memory(st, state):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr("qent.cli.check_soundness", out_of_memory)
+        assert run(capsys, ["analyze", qc("H ** I ** I oo CX ** I"), "--check-oracle"]) == (
+            2, "", "error: 3 qubits: not enough memory for the exact oracle\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["final", "trace"])
+    def test_oracle_refusal_comes_before_the_analysis(self, qc, capsys, monkeypatch, fmt, trace):
+        """A circuit over the qubit limit, or no numpy, is refused before the
+        analysis runs, with the same one stderr line."""
+        forbid(monkeypatch, qent.cli, "analyze", "analyze_traced")
+        wires = DEFAULT_QUBIT_LIMIT + 1
+        argv = ["analyze", qc(" ** ".join(["I"] * wires)), "--check-oracle", "--format", fmt,
+                *trace]
+        assert run(capsys, argv) == (
+            2, "", f"error: {wires} qubits exceeds the simulation limit of {DEFAULT_QUBIT_LIMIT}\n")
+
+        def no_numpy():
+            raise ImportError("No module named 'numpy'")
+
+        monkeypatch.setattr(qent.cli, "_load_oracle", no_numpy)
+        assert run(capsys, argv) == (
+            2, "", "error: --check-oracle needs numpy: No module named 'numpy'\n")
 
     @pytest.mark.parametrize("wires", [59, 64, 70])
     def test_check_oracle_unindexable_state_exits_2(self, qc, capsys, wires):
@@ -666,13 +690,6 @@ class TestDocumentHelpers:
             mode = rng.choice(list(AnalysisMode))
             st = analyze(c, mode)
             doc = state_to_document(st, mode)
-            rebuilt = document_to_state(json.loads(json.dumps(doc)))
-            assert state_row(rebuilt) == state_row(st)
-
-    @pytest.mark.parametrize("doc", [
-        {"qubits": 2, "labels": ["s"], "separability": [[0], [1]], "levels": [[0], [1]]},
-        {"qubits": 2, "labels": ["s", "s"], "separability": [[0], [], [1]], "levels": [[0], [1]]},
-    ], ids=["labels-short", "empty-block"])
-    def test_inconsistent_document_rejected(self, doc):
-        with pytest.raises(ValueError):
-            document_to_state(doc)
+            assert json.loads(json.dumps(doc)) == doc
+            assert (doc["qubits"], doc["mode"]) == (st.n, mode.value)
+            assert (doc["labels"], doc["separability"], doc["levels"]) == state_row(st)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
-from helpers import NaivePartition
+from helpers import NaivePartition, validate_partition
 
 S, D, TOP = BasisLabel.S, BasisLabel.D, BasisLabel.TOP
 
@@ -62,7 +62,7 @@ class TestEncoding:
         count = 0
         for blocks in all_set_partitions(n):
             p = Partition.from_blocks(blocks, n)
-            p.validate()
+            validate_partition(p)
             assert p.blocks() == sorted((sorted(b) for b in blocks), key=lambda b: b[0])
             assert Partition.from_blocks(p.blocks(), n) == p
             count += 1
@@ -85,10 +85,11 @@ class TestEncoding:
 
     def test_validate_rejects_inconsistent_members(self):
         b01, b0, b1 = frozenset((0, 1)), frozenset((0,)), frozenset((1,))
-        Partition((b01, b01)).validate()
-        for members in [(b01, b1), (b1, b0), (frozenset((0, 2)), b1)]:
-            with pytest.raises(AssertionError):
-                Partition(members).validate()
+        validate_partition(Partition((b01, b01)))
+        for members, error in [((b01, b1), ValueError), ((b1, b0), AssertionError),
+                               ((frozenset((0, 2)), b1), IndexError)]:
+            with pytest.raises(error):
+                validate_partition(Partition(members))
 
 
 class TestJoinSplit:
@@ -191,7 +192,7 @@ class TestSwap:
                     p, naive = p.join(i, j), naive.join(i, j)
                 else:
                     p, naive = p.swapped(i, j), naive.swapped(i, j)
-                p.validate()
+                validate_partition(p)
                 assert p.blocks() == naive.as_sorted_blocks()
 
 
@@ -215,7 +216,7 @@ class TestAgainstNaiveOracle:
                 else:
                     i = rng.randrange(n - 1)
                     p, naive = p.swapped(i, i + 1), naive.swapped(i, i + 1)
-                p.validate()
+                validate_partition(p)
                 assert p.blocks() == naive.as_sorted_blocks()
                 assert p == naive.to_partition(n)
 
@@ -235,7 +236,7 @@ class TestExhaustiveSmallScope:
                     for got, want in [(p.join(i, j), naive.join(i, j)),
                                       (p.split(i), naive.split(i)),
                                       (p.swapped(i, j), naive.swapped(i, j))]:
-                        got.validate()
+                        validate_partition(got)
                         assert got == want.to_partition(n)
                         assert (got is p) == (got == p)
                     cases += 1

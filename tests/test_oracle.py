@@ -14,12 +14,11 @@ from qent.analyzer import AnalysisMode, analyze
 from qent.circuit import Gate, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from qent.oracle import (
+    _UNITARY,
     ConcreteBasis,
     DenseState,
     QubitLimitError,
-    apply_cx,
-    apply_single,
-    apply_swap,
+    _apply,
     basis_oracle,
     check_soundness,
     finest_separable_partition,
@@ -27,41 +26,9 @@ from qent.oracle import (
     simulate,
 )
 from qent.circuit import GateKind, iter_gates
-from helpers import (ALL_KINDS, exact_key, pad_at, random_circuit, random_column, reachable_pairs,
-                     rounded_key, scan_finest_partition)
-
-RT2 = 1 / np.sqrt(2)
-
-# Reference matrices, written out here apart from the oracle's own table.
-# Wire 0 is the leftmost Kronecker factor, the most significant bit.
-REF_1Q = {
-    GateKind.I: np.array([[1, 0], [0, 1]]),
-    GateKind.X: np.array([[0, 1], [1, 0]]),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]]),
-    GateKind.Z: np.array([[1, 0], [0, -1]]),
-    GateKind.H: np.array([[1, 1], [1, -1]]) * RT2,
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]]),
-}
-KET_BRA = {(a, b): np.outer(np.eye(2)[a], np.eye(2)[b]) for a in (0, 1) for b in (0, 1)}
-
-
-def ref_op(n, factors):
-    """The 2^n x 2^n Kronecker product of factors[q] over wires q, with the
-    identity on the wires not named."""
-    out = np.eye(1)
-    for q in range(n):
-        out = np.kron(out, factors.get(q, np.eye(2)))
-    return out
-
-
-def ref_cx(n, control, target):
-    return ref_op(n, {control: KET_BRA[0, 0]}) + ref_op(n, {control: KET_BRA[1, 1],
-                                                            target: REF_1Q[GateKind.X]})
-
-
-def ref_swap(n, i, j):
-    # |x y> -> |y x>, as the sum of |a><b| (x) |b><a|
-    return sum(ref_op(n, {i: KET_BRA[a, b], j: KET_BRA[b, a]}) for a, b in KET_BRA)
+from helpers import (ALL_KINDS, REF_1Q, RT2, SINGLE_QUBIT, concrete_step, exact_key, pad_at,
+                     random_circuit, random_column, reachable_pairs, ref_apply, ref_cx, ref_gate,
+                     ref_op, ref_swap, rounded_key, scan_finest_partition)
 
 
 def random_states(seed):
@@ -155,63 +122,38 @@ class TestSimulate:
             assert abs(np.linalg.norm(s.amps) - 1) < 1e-9
 
     def test_index_level_gate_application(self):
-        # CX with reversed orientation via the index-level API
-        s = DenseState.zero(2)
-        s = apply_single(s, GateKind.H, 1)
-        s = apply_cx(s, 1, 0)
+        # the Kronecker references that tests apply at arbitrary wires, here
+        # CX with reversed orientation
+        s = ref_apply(DenseState.zero(2), ref_cx(2, 1, 0) @ ref_op(2, {1: REF_1Q[GateKind.H]}))
         assert np.allclose(s.amps, BELL.amps, atol=1e-12)
-        s2 = apply_swap(simulate(parse_circuit("X ** I")), 0, 1)
+        s2 = ref_apply(simulate(parse_circuit("X ** I")), ref_swap(2, 0, 1))
         assert np.allclose(s2.amps, [0, 1, 0, 0])
 
 
 class TestGateKernel:
-    """Every gate at every wire equals its Kronecker-product reference."""
+    """The one kernel, _apply, with every gate of the oracle's table at every
+    wire equals its Kronecker-product reference. Both of its batching
+    branches run: over the wires above (near wire 0) and over the wires below
+    (near the last wire)."""
+
+    def check_kinds(self, seed, kinds):
+        branches = set()
+        for s in random_states(seed):
+            for kind in kinds:
+                for q in range(s.n - kind.height + 1):
+                    got = _apply(s.amps, _UNITARY[kind], q)
+                    assert np.allclose(got, ref_gate(s.n, kind, q) @ s.amps, atol=1e-12)
+                    branches.add(q <= s.n - q - kind.height)  # 2^q above <= 2^(n-q-k) below
+        assert branches == {True, False}
 
     def test_single_qubit_gates(self):
-        for s in random_states(71):
-            for kind, u in REF_1Q.items():
-                for q in range(s.n):
-                    got = apply_single(s, kind, q).amps
-                    assert np.allclose(got, ref_op(s.n, {q: u}) @ s.amps, atol=1e-12)
+        self.check_kinds(71, SINGLE_QUBIT)
 
-    def test_cx_every_orientation_and_distance(self):
-        for s in random_states(73):
-            for c in range(s.n):
-                for t in range(s.n):
-                    if c == t:
-                        with pytest.raises(ValueError):
-                            apply_cx(s, c, t)
-                    else:
-                        got = apply_cx(s, c, t).amps
-                        assert np.allclose(got, ref_cx(s.n, c, t) @ s.amps, atol=1e-12)
+    def test_cx_every_wire(self):
+        self.check_kinds(73, [GateKind.CX])
 
-    def test_swap_every_pair(self):
-        for s in random_states(79):
-            for i, j in combinations(range(s.n), 2):
-                want = ref_swap(s.n, i, j) @ s.amps
-                assert np.allclose(apply_swap(s, i, j).amps, want, atol=1e-12)
-                assert np.allclose(apply_swap(s, j, i).amps, want, atol=1e-12)
-
-    def test_wires_out_of_range(self):
-        s = dense((0b01, 1), n=2)
-        calls = [(apply_single, GateKind.H, 2), (apply_single, GateKind.H, -1),
-                 (apply_single, GateKind.X, -3)]
-        for helper in (apply_cx, apply_swap):
-            calls += [(helper, -1, 0), (helper, 0, -1), (helper, 0, 2), (helper, 2, 0)]
-        for helper, *args in calls:
-            with pytest.raises(IndexError, match="out of range for n=2"):
-                helper(s, *args)
-        with pytest.raises(ValueError, match="must differ"):
-            apply_cx(s, 1, 1)
-
-    def test_rejects_two_wire_kind_and_equal_wires(self):
-        s = dense((0b01, 1), n=2)
-        for kind in (GateKind.CX, GateKind.SW):
-            for q in (0, 1):
-                with pytest.raises(ValueError, match="two-wire gate"):
-                    apply_single(s, kind, q)
-        with pytest.raises(ValueError, match="must differ"):
-            apply_swap(s, 1, 1)
+    def test_swap_every_wire(self):
+        self.check_kinds(79, [GateKind.SW])
 
     def test_simulate_random_circuits(self):
         rng = random.Random(83)
@@ -220,12 +162,7 @@ class TestGateKernel:
             n = c.height
             want = np.eye(2 ** n)[0].astype(complex)
             for gate, q in iter_gates(c):
-                if gate.kind is GateKind.CX:
-                    want = ref_cx(n, q, q + 1) @ want
-                elif gate.kind is GateKind.SW:
-                    want = ref_swap(n, q, q + 1) @ want
-                else:
-                    want = ref_op(n, {q: REF_1Q[gate.kind]}) @ want
+                want = ref_gate(n, gate.kind, q) @ want
             assert np.allclose(simulate(c).amps, want, atol=1e-12)
 
 
@@ -502,15 +439,10 @@ class TestFinestCost:
 
 
 def fold(circuit):
-    """The circuit's state, one gate at a time through the index-level API."""
+    """The circuit's state, one gate at a time through the kernel."""
     state = DenseState.zero(circuit.height)
     for gate, q in iter_gates(circuit):
-        if gate.kind is GateKind.CX:
-            state = apply_cx(state, q, q + 1)
-        elif gate.kind is GateKind.SW:
-            state = apply_swap(state, q, q + 1)
-        else:
-            state = apply_single(state, gate.kind, q)
+        state = concrete_step(state, gate.kind, q)
     return state
 
 
@@ -623,7 +555,7 @@ class TestLevelsOracle:
         assert levels_oracle(s) == {(0, 1), (0, 2), (1, 2)}
 
     def test_hadamard_breaks_level(self):
-        s = apply_single(BELL, GateKind.H, 0)
+        s = concrete_step(BELL, GateKind.H, 0)
         assert levels_oracle(s) == set()
 
     def test_transitive(self):
@@ -713,9 +645,9 @@ class TestLeveledCxDisentangles:
             psi = state.amps.reshape([2] * n).transpose(perm).reshape(-1)
             state = DenseState(n, psi)
             if rng.random() < 0.5:  # local flips keep the pair leveled
-                state = apply_single(state, GateKind.X, rng.choice([c, t]))
+                state = ref_apply(state, ref_op(n, {rng.choice([c, t]): REF_1Q[GateKind.X]}))
             assert (min(c, t), max(c, t)) in levels_oracle(state)
-            after = apply_cx(state, c, t)
+            after = ref_apply(state, ref_cx(n, c, t))
             parts = finest_separable_partition(after)
             assert [t] in parts
             assert basis_oracle(after, t) is ConcreteBasis.STANDARD

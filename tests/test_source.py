@@ -1,0 +1,41 @@
+"""Checks on the source of `src/qent` itself, read with `ast`."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import qent
+
+SRC = Path(qent.__file__).resolve().parent
+
+# Functions that nothing in src/qent calls but that stay on purpose.
+PINNED = {
+    ("cli", "state_to_document"),  # wrapped by name in bench/tracing.py
+}
+
+
+def module_functions_nothing_uses() -> list[str]:
+    """The module-level functions of src/qent that no other code there names
+    (by a Name or an Attribute node), that are not in qent.__all__ and not
+    `cli.main`, the entry point, nor pinned. A module's `__getattr__` and
+    other dunders are called by the interpreter, not by name."""
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if owner is not None:
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in qent.__all__ and not name.startswith("__")
+            and (module, name) != ("cli", "main") and (module, name) not in PINNED]
+
+
+def test_every_module_function_is_used():
+    assert module_functions_nothing_uses() == []
