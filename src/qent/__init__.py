@@ -26,21 +26,10 @@ from .circuit import (
 )
 from .domain import AbstractState, BasisLabel, Partition, init_state
 
-_ORACLE_NAMES = frozenset({
-    "ConcreteBasis",
-    "DenseState",
-    "SoundnessReport",
-    "basis_oracle",
-    "check_soundness",
-    "finest_separable_partition",
-    "levels_oracle",
-    "simulate",
-})
-
 
 def __getattr__(name: str):
-    """Resolve an oracle name on first access, importing qent.oracle."""
-    if name not in _ORACLE_NAMES:
+    """Resolve a name of __all__ not yet bound (an oracle's) by importing qent.oracle."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
 

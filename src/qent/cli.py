@@ -7,10 +7,11 @@
 Exit codes: 0 success, 1 parse error or stdout closed early or not
 writable (no traceback), 2 validation error (a sequence of circuits of
 different heights, reported at the `oo`'s line:col; or oracle qubit limit
-exceeded, or too little memory for the oracle, or numpy cannot be imported
-for --check-oracle), 3 soundness violation.
-Diagnostics go to stderr; results to stdout. Output is deterministic for a
-given input file and flags.
+exceeded, or out of memory, in the oracle or anywhere else, or numpy cannot
+be imported for --check-oracle), 3 soundness violation. Results go to stdout.
+Every failure takes one path: the command raises a `_Refusal` (or runs out of
+memory), and `main` alone prints its one `error: ...` line to stderr and picks
+the exit code. Output is deterministic for a given input file and flags.
 
 Every state printed (the final state in text and JSON, compare's two lines,
 each trace line and each JSON trace entry) is formatted by one
@@ -57,6 +58,10 @@ EXIT_VALIDATION = 2
 EXIT_UNSOUND = 3
 
 _ORACLE_NAMES = ("simulate", "check_soundness", "QubitLimitError")
+
+
+class _Refusal(Exception):
+    """_Refusal(exit code, message): `main` prints `error: <message>` and exits."""
 
 
 def _load_oracle() -> None:
@@ -158,10 +163,10 @@ class _StateWriter:
                 f'{_PAD}"separability": {sep},\n{_PAD}"levels": {lvl}')
 
 
-def _print_text(state: AbstractState, mode: AnalysisMode,
-                trace: list[TraceStep] | None) -> None:
-    """Write the result, then the trace line by line, so that the output is
-    never held whole; each distinct snapshot is rendered once."""
+def _print_text(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep] | None,
+                report: SoundnessReport | None) -> None:
+    """Write the result, the trace line by line (never held whole; each distinct
+    snapshot rendered once), then the soundness lines when there is a report."""
     writer = _StateWriter()
     print(f"qubits: {state.n}", f"mode: {mode.value}", writer.text(state, "\n"), sep="\n")
     write = sys.stdout.write
@@ -172,6 +177,12 @@ def _print_text(state: AbstractState, mode: AnalysisMode,
             snap, text = step.state, writer.text(step.state, " | ") + "\n"
         write(f"step {k}: {gates[step.gate]}@{step.index} -> ")
         write(text)
+    if report is not None:
+        verdict = "ok" if report.ok else "VIOLATED"
+        print(f"soundness: {verdict} (entanglement={report.entanglement_ok} "
+              f"level={report.level_ok} label={report.label_ok})")
+        for kind, subject, explanation in report.violations:
+            print(f"  violation[{kind}] {subject}: {explanation}")
 
 
 def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep] | None,
@@ -225,13 +236,13 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(path: str):
+def _load(path: str) -> CircuitAst:
+    """The file's circuit, or a _Refusal naming what is wrong with it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise _Refusal(EXIT_PARSE, f"cannot read {path}: {err}")
     # strip the byte-order mark here, not with the utf-8-sig codec, whose
     # err.start would count from after it and index the wrong byte below
     data = data.removeprefix(b"\xef\xbb\xbf")
@@ -240,27 +251,23 @@ def _load(path: str):
     except UnicodeDecodeError as err:
         head = _decode(data[:err.start])  # the valid prefix
         line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
-        print(f"error: {path}:{line}:{column}: not UTF-8: {err.reason} "
-              f"(byte 0x{data[err.start]:02x})", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise _Refusal(EXIT_PARSE, f"{path}:{line}:{column}: not UTF-8: {err.reason} "
+                                   f"(byte 0x{data[err.start]:02x})")
     try:
-        circuit = parse_circuit(text)
-    except (CircuitSyntaxError, ValidationError) as err:
-        print(f"error: {path}:{err.line}:{err.column}: {err.message}", file=sys.stderr)
-        return None, EXIT_PARSE if isinstance(err, CircuitSyntaxError) else EXIT_VALIDATION
-    return circuit, EXIT_OK
+        return parse_circuit(text)
+    except CircuitSyntaxError as err:
+        raise _Refusal(EXIT_PARSE, f"{path}:{err}")
+    except ValidationError as err:
+        raise _Refusal(EXIT_VALIDATION, f"{path}:{err}")
 
 
-def _no_memory(circuit: CircuitAst) -> int:
-    print(f"error: {circuit.height} qubits: not enough memory for the exact oracle",
-          file=sys.stderr)
-    return EXIT_VALIDATION
+def _no_memory(circuit: CircuitAst) -> _Refusal:
+    return _Refusal(EXIT_VALIDATION,
+                    f"{circuit.height} qubits: not enough memory for the exact oracle")
 
 
-def _cmd_analyze(args) -> int:
-    circuit, status = _load(args.file)
-    if circuit is None:
-        return status
+def _cmd_analyze(args) -> None:
+    circuit = _load(args.file)
     mode = AnalysisMode(args.mode)
 
     # the oracle's refusals come before the analysis, which they would waste
@@ -269,15 +276,13 @@ def _cmd_analyze(args) -> int:
         try:
             _load_oracle()
         except ImportError as err:
-            print(f"error: --check-oracle needs numpy: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Refusal(EXIT_VALIDATION, f"--check-oracle needs numpy: {err}")
         try:
             exact = simulate(circuit, max_qubits=args.max_oracle_qubits)
         except QubitLimitError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Refusal(EXIT_VALIDATION, str(err))
         except MemoryError:
-            return _no_memory(circuit)
+            raise _no_memory(circuit)
 
     if args.trace:
         state, trace = analyze_traced(circuit, mode)
@@ -289,23 +294,11 @@ def _cmd_analyze(args) -> int:
         try:
             report = check_soundness(state, exact)
         except MemoryError:
-            return _no_memory(circuit)
+            raise _no_memory(circuit)
 
-    if args.format == "json":
-        _print_json(state, mode, trace, report)
-    else:
-        _print_text(state, mode, trace)
-        if report is not None:
-            verdict = "ok" if report.ok else "VIOLATED"
-            print(f"soundness: {verdict} (entanglement={report.entanglement_ok} "
-                  f"level={report.level_ok} label={report.label_ok})")
-            for kind, subject, explanation in report.violations:
-                print(f"  violation[{kind}] {subject}: {explanation}")
-
+    (_print_json if args.format == "json" else _print_text)(state, mode, trace, report)
     if report is not None and not report.ok:
-        print("error: analysis is unsound for this circuit", file=sys.stderr)
-        return EXIT_UNSOUND
-    return EXIT_OK
+        raise _Refusal(EXIT_UNSOUND, "analysis is unsound for this circuit")
 
 
 def _split_pairs(coarse: Partition, fine: Partition) -> list[tuple[int, int]]:
@@ -326,10 +319,8 @@ def _split_pairs(coarse: Partition, fine: Partition) -> list[tuple[int, int]]:
     return pairs
 
 
-def _cmd_compare(args) -> int:
-    circuit, status = _load(args.file)
-    if circuit is None:
-        return status
+def _cmd_compare(args) -> None:
+    circuit = _load(args.file)
     with_levels = analyze(circuit, AnalysisMode.LEVELS)
     without = analyze(circuit, AnalysisMode.NO_LEVELS)
     delta = _split_pairs(without.sep, with_levels.sep)
@@ -341,7 +332,6 @@ def _cmd_compare(args) -> int:
         print("more precise on: " + " ".join(f"({i},{j})" for i, j in delta))
     else:
         print("more precise on: (none)")
-    return EXIT_OK
 
 
 def positive_int(text: str) -> int:
@@ -383,17 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only code that writes to stderr."""
     args = build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
-        status = args.func(args)
+        try:
+            args.func(args)
+        except _Refusal as refusal:
+            code, message = refusal.args
+        except MemoryError:  # the oracle's own are refused by _cmd_analyze
+            code, message = EXIT_VALIDATION, f"{args.file}: not enough memory"
+        if code != EXIT_OK:  # printed here, once the failed command's frames are freed
+            print(f"error: {message}", file=sys.stderr)
         sys.stdout.flush()  # so that a closed reader raises here, not at exit
-    except OSError as err:  # _load reports its own read errors
+    except OSError as err:  # _load refuses its own read errors
         if not isinstance(err, BrokenPipeError):
             print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
         # the signal module docs' recipe: what is left goes to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return status
+    return code
 
 
 if __name__ == "__main__":

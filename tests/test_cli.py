@@ -579,8 +579,50 @@ class TestRobustness:
         for _ in range(300):
             path.write_bytes(self.fuzz_input(rng))
             for argv in self.ARGVS:
-                code, _, _ = run(capsys, [argv[0], str(path), *argv[1:]])
+                code, _, err = run(capsys, [argv[0], str(path), *argv[1:]])
                 assert code in (0, 1, 2, 3)
+                if code == 0:
+                    assert err == ""
+                else:
+                    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+class TestOutOfMemory:
+    """Running out of memory outside the oracle is one line and exit 2, not
+    a traceback; stdout keeps what was written before."""
+
+    ARGVS = [["analyze"], ["analyze", "--format", "json"], ["analyze", "--trace"],
+             ["analyze", "--trace", "--format", "json"], ["analyze", "--check-oracle"],
+             ["compare"]]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("names", [["parse_circuit"], ["analyze", "analyze_traced"]],
+                             ids=["parse", "analysis"])
+    def test_exits_2_with_one_line(self, qc, capsys, monkeypatch, argv, names):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        for name in names:
+            monkeypatch.setattr(qent.cli, name, out_of_memory)
+        path = qc("H ** I oo CX")
+        assert run(capsys, [argv[0], path, *argv[1:]]) == (
+            2, "", f"error: {path}: not enough memory\n")
+
+    def test_output_written_before_is_kept(self, qc, capsys, monkeypatch):
+        path = qc("H ** I oo CX")
+        _, out, _ = run(capsys, ["compare", path])
+        text = qent.cli._StateWriter.text
+        calls = []
+
+        def second_runs_out(writer, state, sep):
+            calls.append(state)
+            if len(calls) == 2:
+                raise MemoryError
+            return text(writer, state, sep)
+
+        monkeypatch.setattr(qent.cli._StateWriter, "text", second_runs_out)
+        assert run(capsys, ["compare", path]) == (
+            2, "".join(out.splitlines(keepends=True)[:2]), f"error: {path}: not enough memory\n")
 
 
 # Runs `import qent, qent.cli`, then main() on each argv given as JSON, and

@@ -39,3 +39,32 @@ def module_functions_nothing_uses() -> list[str]:
 
 def test_every_module_function_is_used():
     assert module_functions_nothing_uses() == []
+
+
+EXIT_CODES = {"EXIT_PARSE", "EXIT_VALIDATION", "EXIT_UNSOUND"}
+
+
+def error_path_sites() -> tuple[list[str], list[tuple[str, str]]]:
+    """Where src/qent names `sys.stderr`, and each `_Refusal(...)` built with
+    the source of its first argument, as "module.function:line"."""
+    stderr, refusals = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                    stderr.append(f"{owner}:{node.lineno}")
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_Refusal"):
+                    code = ast.unparse(node.args[0]) if node.args else ""
+                    refusals.append((f"{owner}:{node.lineno}", code))
+    return stderr, refusals
+
+
+def test_one_error_path():
+    """Only `cli.main` writes to stderr (by print(..., file=sys.stderr) or
+    sys.stderr.write), and every refusal exits 1, 2 or 3 by name."""
+    stderr, refusals = error_path_sites()
+    assert stderr and [site for site in stderr if not site.startswith("cli.main:")] == []
+    assert refusals and [(site, code) for site, code in refusals if code not in EXIT_CODES] == []
