@@ -28,10 +28,10 @@ the wire directly below, i + 1 (use SW chains to reach other layouts).
 
 Tree nodes are immutable `__slots__` objects: assigning an attribute raises
 AttributeError. Each node stores its height, set once when it is built, so
-reading it is O(1). A tree's value is its canonical text: `==` and `hash()`
-compare and hash `unparse(c)`, and pickling and `copy` rebuild a tree with
-`parse_circuit(unparse(c))`. These, `repr()`, `iter_gates` and the parser
-walk a tree with an explicit stack or loop, so none has a depth limit.
+reading it is O(1). A tree's value is its canonical text: `==`, `hash()` and
+`repr()` read `unparse(c)`, and pickling and `copy` rebuild a tree with
+`parse_circuit(unparse(c))`. These, `iter_gates` and the parser walk a tree
+with an explicit stack or loop, so none has a depth limit.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class GateKind(Enum):
 class _Node:
     """A Gate, Tensor or Seq. A tree's value is its canonical text: the parser
     rebuilds every tree from unparse's output, so that text determines the
-    tree, and ==, hash() and pickling go through unparse."""
+    tree, and ==, hash(), repr() and pickling go through unparse."""
 
     __slots__ = ()
 
@@ -87,19 +87,7 @@ class _Node:
         return parse_circuit, (unparse(self),)
 
     def __repr__(self):
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            t = type(item)
-            if t is str:
-                out.append(item)
-            elif t is Gate:
-                out.append(f"Gate(kind={item.kind!r})")
-            else:
-                out.append(f"{t.__qualname__}(left=")
-                stack += (")", item.right, ", right=", item.left)
-        return "".join(out)
+        return f"parse_circuit({unparse(self)!r})"
 
 
 class Gate(_Node):

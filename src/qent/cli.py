@@ -119,20 +119,9 @@ def _json_list(items) -> str:
     return f"[{body}\n{_PAD}]" if body else "[]"
 
 
-class _Rendered(dict):
-    """Block -> its text, rendered on first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, block):
-        text = self[block] = self.render(block)
-        return text
-
-
-class _StateWriter:
-    """Formats the states of one output, in text or as JSON fields.
+class _StateWriter(dict):
+    """Formats one output's states with its block -> text dict, which render
+    (_block_text, or _block_json for JSON) fills on first lookup.
 
     The blocks of a partition are the distinct entries of its members, which
     dict.fromkeys keeps in order of least member, as blocks() lists them. Each
@@ -142,13 +131,17 @@ class _StateWriter:
     a trace entry.
     """
 
-    def __init__(self):
-        self.block_text = _Rendered(_block_text)
-        self.block_json = _Rendered(_block_json)
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, block):
+        text = self[block] = self.render(block)
+        return text
 
     def text(self, state: AbstractState, sep: str) -> str:
         """The labels, separability and levels lines, joined by sep."""
-        blocks = self.block_text.__getitem__
+        blocks = self.__getitem__
         return (f"labels: {' '.join(map(_LABEL_TEXT.__getitem__, state.labels))}{sep}"
                 f"separability: {' '.join(map(blocks, dict.fromkeys(state.sep.members)))}{sep}"
                 f"levels: {' '.join(map(blocks, dict.fromkeys(state.lvl.members)))}")
@@ -156,7 +149,7 @@ class _StateWriter:
     def json(self, state: AbstractState) -> str:
         """The "labels", "separability" and "levels" fields, from the first
         key's quote to the last field's closing bracket."""
-        blocks = self.block_json.__getitem__
+        blocks = self.__getitem__
         sep = _json_list(map(blocks, dict.fromkeys(state.sep.members)))
         lvl = _json_list(map(blocks, dict.fromkeys(state.lvl.members)))
         return (f'"labels": {_json_list(map(_LABEL_JSON.__getitem__, state.labels))},\n'
@@ -167,7 +160,7 @@ def _print_text(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep]
                 report: SoundnessReport | None) -> None:
     """Write the result, the trace line by line (never held whole; each distinct
     snapshot rendered once), then the soundness lines when there is a report."""
-    writer = _StateWriter()
+    writer = _StateWriter(_block_text)
     print(f"qubits: {state.n}", f"mode: {mode.value}", writer.text(state, "\n"), sep="\n")
     write = sys.stdout.write
     gates = _GATE_TEXT
@@ -201,7 +194,7 @@ def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep]
         head["soundness"] = _soundness_doc(report)
     top, _, rest = json.dumps(head, indent=2).partition('"state": 0')
     middle, _, tail = rest.partition('"trace": 0')
-    writer = _StateWriter()
+    writer = _StateWriter(_block_json)
     write = sys.stdout.write
     # the final state's fields, rendered at a trace entry's depth (its blocks
     # are the last snapshot's) and moved up to the top level, 4 spaces less
@@ -325,7 +318,7 @@ def _cmd_compare(args) -> None:
     without = analyze(circuit, AnalysisMode.NO_LEVELS)
     delta = _split_pairs(without.sep, with_levels.sep)
     print(f"qubits: {with_levels.n}")
-    writer = _StateWriter()
+    writer = _StateWriter(_block_text)
     print("levels:    " + writer.text(with_levels, " | "))
     print("no-levels: " + writer.text(without, " | "))
     if delta:

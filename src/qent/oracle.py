@@ -16,7 +16,7 @@ Checks provided:
 
 * finest_separable_partition: the unique most-refined grouping of qubits
   across which the state factorizes. Correlated qubit pairs are joined in
-  a domain Partition whose blocks seed components, and only qubits whose
+  place (domain._join), and the blocks seed components; only qubits whose
   one-qubit marginal is mixed are paired: a qubit with a pure marginal
   factors out. Blocks are peeled off by least qubit, each the first union
   of components whose cut passes a rank-1 test on the given state. States
@@ -39,7 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .circuit import DEFAULT_QUBIT_LIMIT, CircuitAst, GateKind, iter_gates, validate
-from .domain import AbstractState, BasisLabel, Partition
+from .domain import AbstractState, BasisLabel, Partition, _join
 
 EPS = 1e-9
 # Pair-correlation threshold that seeds finest_separable_partition. Qubits
@@ -129,6 +129,11 @@ def _apply(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
     return (psi.transpose(2, 0, 1) @ u.T).transpose(1, 2, 0).reshape(-1)
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) of 2x2 matrices by broadcasting; np.kron costs more than a pass."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> DenseState:
     """Run the circuit on |00...0>, applying gates in analysis order.
 
@@ -157,8 +162,7 @@ def simulate(circuit: CircuitAst, max_qubits: int = DEFAULT_QUBIT_LIMIT) -> Dens
             continue
         upper, lower = pending.pop(q, _EYE2), pending.pop(q + 1, _EYE2)
         if upper is not _EYE2 or lower is not _EYE2:
-            # kron(upper, lower) by broadcasting; np.kron costs more than a pass
-            u = u @ (upper[:, None, :, None] * lower[None, :, None, :]).reshape(4, 4)
+            u = u @ _kron2(upper, lower)
         psi = _apply(psi, u, q)
     for q, u in pending.items():
         psi = _apply(psi, u, q)
@@ -175,7 +179,7 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
     """Most-refined partition of qubits across which the state factorizes.
 
     Qubits whose two-qubit marginal is not the product of their one-qubit
-    marginals lie in one factor, so these pairs are joined in a Partition,
+    marginals lie in one factor, so these pairs are joined in a member list,
     the seeds, whose blocks are the components. A qubit whose one-qubit
     marginal is pure factors out and is never paired; one skipped while
     weakly mixed costs only cut tests (see PAIR_EPS). Blocks are peeled off
@@ -189,16 +193,14 @@ def finest_separable_partition(state: DenseState) -> list[list[int]]:
     one = np.array([m @ m.conj().T for m in (_bipartition_matrix(state, (q,)) for q in range(n))])
     # one batched det; the reshape gives n = 0 its (0, 2, 2) shape
     mixed = np.flatnonzero(np.abs(np.linalg.det(one.reshape(n, 2, 2))) > PAIR_EPS ** 2).tolist()
-    seeds = Partition.singletons(n)
+    seeds = list(Partition.singletons(n).members)
     for i, j in combinations(mixed, 2):
-        if seeds.same_block(i, j):
+        if j in seeds[i]:
             continue
         m = _bipartition_matrix(state, (i, j))
-        # kron(one[i], one[j]) by broadcasting, as in simulate
-        product = (one[i][:, None, :, None] * one[j][None, :, None, :]).reshape(4, 4)
-        if np.abs(m @ m.conj().T - product).max() > PAIR_EPS:
-            seeds = seeds.join(i, j)
-    comps = seeds.blocks()
+        if np.abs(m @ m.conj().T - _kron2(one[i], one[j])).max() > PAIR_EPS:
+            _join(seeds, i, j)
+    comps = Partition(tuple(seeds)).blocks()
 
     # Components come by least member and each lies inside one block, and a
     # cut factorizes exactly when both sides are unions of blocks: the first

@@ -276,9 +276,14 @@ class TestNodes:
         assert [getattr(node, name) for name in names] == before
 
     def test_repr_is_constructor_syntax(self):
-        assert repr(Seq(Tensor(H, I), CX)) == (
-            "Seq(left=Tensor(left=Gate(kind=<GateKind.H: 'H'>), right=Gate(kind=<GateKind.I: 'I'>)), "
-            "right=Gate(kind=<GateKind.CX: 'CX'>))")
+        """repr() is the parse_circuit call that rebuilds the tree."""
+        assert repr(Seq(Tensor(H, I), CX)) == "parse_circuit('H ** I oo CX')"
+        rng = random.Random(13)
+        for _ in range(200):
+            a = random_circuit(rng, rng.randint(1, 4), rng.randint(1, 3))
+            b = random_circuit(rng, rng.randint(1, 4), rng.randint(1, 3))
+            for tree in (a, Tensor(a, b), Tensor(b, Tensor(a, b)), Seq(a, Seq(a, a))):
+                assert eval(repr(tree), {"parse_circuit": parse_circuit}) == tree
 
     def test_equality_is_structural(self):
         assert Tensor(H, Tensor(I, X)) != Tensor(Tensor(H, I), X)
@@ -496,9 +501,7 @@ class TestDeepInputs:
         assert a is not b
         assert a == b
         assert hash(a) == hash(b)
-        text = repr(a)
-        assert text.startswith("Seq(left=Seq(left=Seq(left=")
-        assert text.endswith("right=Gate(kind=<GateKind.H: 'H'>))))")
+        assert repr(a) == f"parse_circuit({unparse(a)!r})"
         assert parse_circuit(unparse(a)) == a
         assert pickle.loads(pickle.dumps(a)) == a
         assert copy.deepcopy(a) == a

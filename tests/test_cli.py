@@ -17,11 +17,11 @@ import pytest
 
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
-from qent.circuit import DEFAULT_QUBIT_LIMIT, GateKind, parse_circuit, unparse
+from qent.circuit import CX, DEFAULT_QUBIT_LIMIT, H, GateKind, Seq, parse_circuit, unparse
 from qent.cli import _soundness_doc, _split_pairs, main, state_to_document
-from qent.domain import Partition
+from qent.domain import AbstractState, Partition
 from qent.oracle import check_soundness, simulate
-from helpers import ALL_KINDS, forbid, random_circuit, reference_rows, state_row
+from helpers import ALL_KINDS, forbid, pad_at, random_circuit, reference_rows, state_row
 
 
 @pytest.fixture
@@ -555,6 +555,28 @@ class TestComparePairs:
                 "no-levels: " + text(coarse),
                 "more precise on: " + (" ".join(f"({i},{j})" for i, j in delta) or "(none)"),
             ]
+
+    def test_no_cli_path_copies_a_partition_or_a_state(self, qc, capsys, monkeypatch):
+        """The analysis and the oracle's seeding update member lists in place;
+        no command builds a partition or a state by a copying operation."""
+        rng = random.Random(103)
+        paths = []
+        for _ in range(12):
+            n = rng.randint(1, 10)
+            circuit = random_circuit(rng, n, rng.randint(1, 8))
+            if n > 1:  # a Bell pair on wires 0 and 1 first
+                circuit = Seq(Seq(pad_at(H, 0, n), pad_at(CX, 0, n)), circuit)
+            paths.append(qc(unparse(circuit), f"c{len(paths)}.qc"))
+        forbid(monkeypatch, Partition, "join", "split", "swapped")
+        forbid(monkeypatch, AbstractState, "copy", "swap_adjacent", "_apply")
+        for path in paths:
+            assert run(capsys, ["compare", path])[0] == 0
+            for mode in AnalysisMode:
+                for extra in ([], ["--trace"], ["--format", "json"], ["--trace", "--format", "json"]):
+                    for oracle in ([], ["--check-oracle"]):
+                        code, _, err = run(capsys, ["analyze", path, "--mode", mode.value,
+                                                    *extra, *oracle])
+                        assert code == 0 or (code == 3 and mode is AnalysisMode.UNSAFE_LEVELING), err
 
 
 class TestRobustness:
