@@ -9,6 +9,7 @@ state's value changed:
 
 * H swaps the labels s and d; on a top wire it drops the wire's level
   (the superposition breaks any correlation it had with third qubits).
+  Like T, it reads no mode.
 * T turns d into top and leaves s and top alone.
 * CX acts on (wire, wire + 1) by the four cases documented at
   `apply_cx_at`.
@@ -30,6 +31,23 @@ rebind its partitions. Three rule modes are selectable:
   leveled whenever the CX target is labeled s, regardless of the control
   label. Kept for demonstrating (via the oracle) how that rule lets the
   analysis claim an entangled qubit is separable.
+
+Two invariants hold on every state reachable from `init_state`:
+
+* I1 (NO_LEVELS): every level block is a singleton. Levels are joined only
+  by CX case 2, which skips the join in NO_LEVELS, and by case 4 in
+  UNSAFE_LEVELING.
+* I2 (every mode): a qubit labeled s or d is a singleton in both
+  partitions. Only the start, H (no block changes) and CX case 3 (which
+  splits its target from both) make s or d; every join labels both qubits
+  top; SW moves labels with their blocks.
+
+Three places test nothing because of them, so a rule that breaks one
+breaks these too: CX case 3 tests `target in lvl[control]` in every mode
+(by I1 false in NO_LEVELS); CX case 4 reports a change only through the
+separability join (by I2 a label it turns top belonged to a singleton, so
+the join changes); H on a top wire splits its level in every mode (by I1
+an O(1) no-op in NO_LEVELS).
 
 Cost per gate is O(1) for labels. A partition update that changes
 nothing (a join within a block, a split of a singleton, a swap of two
@@ -113,14 +131,14 @@ def _cx_at(b: list[BasisLabel], sep: list, lvl: list, control: int, target: int,
         if mode is not AnalysisMode.NO_LEVELS:
             _join(lvl, control, target)
         return True
-    if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:
+    if target in lvl[control]:
         # a shared level block holds both, so the level split always changes
         b[target] = _S
         _split(sep, target)
         _split(lvl, target)
         return True
     b[control] = b[target] = _TOP
-    changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP
+    changed = _join(sep, control, target)
     if mode is AnalysisMode.LEVELS:
         changed = _split(lvl, target) or changed
     elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:
@@ -135,7 +153,7 @@ def _h(labels: list[BasisLabel], sep: list, lvl: list, q: int, mode: AnalysisMod
     elif lbl is _D:
         labels[q] = _S
     else:
-        return mode is not AnalysisMode.NO_LEVELS and _split(lvl, q)
+        return _split(lvl, q)
     return True
 
 

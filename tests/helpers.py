@@ -4,6 +4,7 @@ breadth-first search over reachable (analysis, exact) state pairs."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from collections import deque
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from qent.analyzer import AnalysisMode, apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor, iter_gates
-from qent.domain import Partition, init_state
+from qent.domain import BasisLabel, Partition, init_state
 from qent.oracle import _UNITARY, EPS, DenseState, _apply, _bipartition_matrix
 
 SINGLE_QUBIT = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.T]
@@ -364,3 +365,51 @@ def reachable_pairs(n, mode, key, kinds=T_FREE, depth=None):
             for q in range(n - kind.height + 1):
                 queue.append((apply_gate(st.copy(), kind, q, mode),
                               concrete_step(state, kind, q), steps + 1))
+
+
+def set_partitions(items):
+    """Every set partition of the sequence items, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for k in range(len(blocks)):
+            yield [*blocks[:k], [first, *blocks[k]], *blocks[k + 1:]]
+
+
+def s_d_are_singletons(labels, sep, lvl):
+    """I2 over member sequences: a qubit labeled s or d is alone in both
+    partitions."""
+    return all(label is BasisLabel.TOP or len(sep[q]) == len(lvl[q]) == 1
+               for q, label in enumerate(labels))
+
+
+def holds_invariants(labels, sep, lvl, mode):
+    """The analyzer docstring's invariants for mode, over member sequences:
+    I2 in every mode; I1 (levels all singletons) in NO_LEVELS; in LEVELS,
+    each level block is one qubit or a pair inside one separability block."""
+    if not s_d_are_singletons(labels, sep, lvl):
+        return False
+    if mode is AnalysisMode.NO_LEVELS:
+        return all(len(block) == 1 for block in lvl)
+    if mode is AnalysisMode.LEVELS:
+        return all(len(block) == 1 or (len(block) == 2 and block <= sep[q])
+                   for q, block in enumerate(lvl))
+    return True
+
+
+def invariant_states(n, mode):
+    """Every state (labels, sep members, lvl members) on n wires that
+    satisfies holds_invariants for mode, each once. By I2 only the `top`
+    qubits share blocks, so both partitions range over those of the tops."""
+    for labels in itertools.product(list(BasisLabel), repeat=n):
+        tops = [q for q, label in enumerate(labels) if label is BasisLabel.TOP]
+        rest = [[q] for q, label in enumerate(labels) if label is not BasisLabel.TOP]
+        partitions = [Partition.from_blocks(blocks + rest, n).members
+                      for blocks in set_partitions(tops)]
+        for sep in partitions:
+            for lvl in partitions:
+                if holds_invariants(labels, sep, lvl, mode):
+                    yield list(labels), sep, lvl

@@ -1,13 +1,14 @@
 """One digest of everything the command line prints, to show that a change
 keeps each output byte-identical.
 
-    PYTHONPATH=src python tests/identity.py
+    PYTHONPATH=src python tests/identity.py [--wide]
 
 Runs `qent.cli.main` in-process on a fixed corpus and prints the command
 lines run per exit code and one SHA-256 over (argv, exit code, stdout,
-stderr) of every line, in order. Run it on two checkouts: equal digests mean
-equal outputs. The corpus is written to a temporary directory, which is the
-working directory of the run, so paths in the output do not depend on it:
+stderr) of every line, in order; an argparse exit is caught and its code
+hashed. Run it on two checkouts: equal digests mean equal outputs. The
+corpus is written to a temporary directory, which is the working directory
+of the run, so paths in the output do not depend on it:
 
 * the files bench/run.py's build_ops writes for seeds 1-3 of both
   workloads (bench/ is only read);
@@ -21,10 +22,17 @@ Each file runs through `compare` and through `analyze` in 3 modes x text and
 JSON x with and without --trace x with and without --check-oracle; the error
 corpus also with `--check-oracle --max-oracle-qubits 1`. The build_ops
 `main` inputs run without --trace, whose output would run to gigabytes.
+
+--wide takes seeds 1-10 and 1,000 random circuits (the first 400 as above),
+and adds the command lines that end in argparse's own exits: no command, an
+unknown option, `--mode bogus`, `--max-oracle-qubits 0`, a missing FILE and
+`analyze --help`. COLUMNS is fixed, so the help text does not depend on
+the terminal.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -60,6 +68,16 @@ ERRORS = {
     "bell.qc": b"H ** I oo CX\n",
 }
 
+ARGPARSE_EXITS = [
+    [],
+    ["analyze", "bell.qc", "--bogus"],
+    ["analyze", "bell.qc", "--mode", "bogus"],
+    ["analyze", "bell.qc", "--max-oracle-qubits", "0"],
+    ["analyze"],
+    ["compare"],
+    ["analyze", "--help"],
+]
+
 
 def command_lines(path: str, trace: bool = True, low_limit: bool = False) -> list[list[str]]:
     oracles = [[], ["--check-oracle"]] + ([["--check-oracle", "--max-oracle-qubits", "1"]]
@@ -70,18 +88,19 @@ def command_lines(path: str, trace: bool = True, low_limit: bool = False) -> lis
         for mode in AnalysisMode for fmt in ("text", "json") for t in traces for o in oracles]
 
 
-def corpus() -> list[list[str]]:
+def corpus(wide: bool) -> list[list[str]]:
     """Writes the corpus into the working directory; its command lines."""
+    seeds, randoms = (range(1, 11), 1000) if wide else ((1, 2, 3), 400)
     lines = []
     for workload in bench_run.WORKLOADS:
-        for seed in (1, 2, 3):
+        for seed in seeds:
             workdir = f"{workload}-{seed}"
             os.mkdir(workdir)
             ops = bench_run.build_ops(workload, seed, workdir)
             for path in sorted({op.case.path for op in ops}):
                 lines += command_lines(path, trace=os.path.basename(path) != "main.qc")
     rng = random.Random(2024)
-    for k in range(400):
+    for k in range(randoms):
         path = f"random{k:03}.qc"
         Path(path).write_text(unparse(random_circuit(rng, rng.randint(1, 12), rng.randint(1, 14))),
                               encoding="utf-8")
@@ -90,18 +109,26 @@ def corpus() -> list[list[str]]:
         if data is not None:
             Path(path).write_bytes(data)
         lines += command_lines(path, low_limit=True)
-    return lines
+    return lines + ARGPARSE_EXITS if wide else lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--wide", action="store_true",
+                        help="seeds 1-10, 1,000 random circuits and argparse's exits")
+    wide = parser.parse_args(argv).wide
+    os.environ["COLUMNS"] = "80"
     digest, codes = hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
-        for argv in corpus():
+        for line in corpus(wide):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main(argv)
+                try:
+                    code = cli_main(line)
+                except SystemExit as exc:  # argparse's exits, as bench/run.py's run_cli
+                    code = exc.code if isinstance(exc.code, int) else 2
             codes[code] += 1
-            digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+            digest.update(json.dumps([line, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
     print(f"{sum(codes.values())} command lines; exit codes "
           + ", ".join(f"{code}: {count}" for code, count in sorted(codes.items())))
     print(f"sha256 {digest.hexdigest()}")

@@ -1,0 +1,141 @@
+"""Mutation audit of the transfer rules, too slow for the test suite.
+
+    python tests/mutants.py [NUMBER ...]
+
+MUTANTS lists single edits (file, old, new, expected) of the rules in
+`analyzer` and the partition operations in `domain` they call. For each
+mutant (or only those NUMBERs, counted from 1), the checkout is copied to
+a temporary directory, `old` is replaced by `new` there (the checkout
+itself is never edited), and the tier-1 suite runs in the copy with -x.
+
+Prints one row per mutant: its number and edit, the verdict, the first
+failing test and the seconds taken. The verdict is `killed` (some test
+failed), `survived` (all passed), or `not applicable` (`old` is not in the
+file: the code it mutates is gone). `expected` is `killed`, or
+`equivalent: <reason>` for a mutant that no test can kill because it
+changes no behaviour; its reason is printed under the table. Exits 1 when a
+mutant expected to be killed is not.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ANALYZER = "src/qent/analyzer.py"
+DOMAIN = "src/qent/domain.py"
+
+MUTANTS = [
+    # _cx_at, case 1
+    (ANALYZER, "if bc is _S or bt is _D:", "if bc is _S:", "killed"),
+    (ANALYZER, "if bc is _S or bt is _D:", "if bt is _D:", "killed"),
+    # _cx_at, case 2
+    (ANALYZER, "        _join(sep, control, target)\n        if mode",
+     "        if mode", "killed"),
+    (ANALYZER, "        if mode is not AnalysisMode.NO_LEVELS:\n            _join(lvl",
+     "        if True:\n            _join(lvl", "killed"),
+    (ANALYZER, "            _join(lvl, control, target)\n        return True",
+     "            pass\n        return True", "killed"),
+    # _cx_at, case 3
+    (ANALYZER, "if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:",
+     "if target in lvl[control]:",
+     "equivalent: by I1 no level block holds both wires in NO_LEVELS"),
+    (ANALYZER, "        _split(sep, target)\n        _split(lvl, target)\n",
+     "        _split(lvl, target)\n", "killed"),
+    (ANALYZER, "        _split(sep, target)\n        _split(lvl, target)\n",
+     "        _split(sep, target)\n", "killed"),
+    (ANALYZER, "b[target] = _S", "b[target] = _TOP", "killed"),
+    # _cx_at, case 4
+    (ANALYZER, "changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP",
+     "changed = _join(sep, control, target)",
+     "equivalent: by I2 a label case 4 turns top was a singleton's, so the join changes"),
+    (ANALYZER, "    changed = _join(sep, control, target)", "    changed = False", "killed"),
+    (ANALYZER, "changed = _split(lvl, target) or changed", "changed = changed", "killed"),
+    (ANALYZER, "changed = _split(lvl, target) or changed",
+     "changed = _split(lvl, control) or changed", "killed"),
+    (ANALYZER, "elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:",
+     "elif mode is AnalysisMode.UNSAFE_LEVELING:", "killed"),
+    # _h: keep the level on H of top; leave d alone
+    (ANALYZER, "        return _split(lvl, q)", "        return False", "killed"),
+    (ANALYZER, "        labels[q] = _S\n", "        pass\n", "killed"),
+    # _t: leave d alone; make s top too
+    (ANALYZER, "    if labels[q] is _D:\n        labels[q] = _TOP",
+     "    if False:\n        labels[q] = _TOP", "killed"),
+    (ANALYZER, "    if labels[q] is _D:\n        labels[q] = _TOP",
+     "    if labels[q] is not _TOP:\n        labels[q] = _TOP", "killed"),
+    # domain._split
+    (DOMAIN, "    if len(bi) == 1:\n", "    if len(bi) <= 2:\n", "killed"),
+    # domain._swap: report a swap within a block or of two singletons
+    (DOMAIN, "if j in bi or len(bi) == len(bj) == 1:", "if len(bi) == len(bj) == 1:", "killed"),
+    (DOMAIN, "if j in bi or len(bi) == len(bj) == 1:", "if j in bi:", "killed"),
+    # domain._swap_adjacent
+    (DOMAIN, "(_swap(sep, i, j) | _swap(lvl, i, j))", "(_swap(sep, i, j) or _swap(lvl, i, j))",
+     "killed"),
+    (DOMAIN, "return (_swap(sep, i, j) | _swap(lvl, i, j)) or a is not b",
+     "return _swap(sep, i, j) | _swap(lvl, i, j)", "killed"),
+    (DOMAIN, "labels[i], labels[j] = b, a", "labels[i], labels[j] = a, b", "killed"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+def describe(old: str, new: str) -> str:
+    """The lines the edit changes, without the context they share."""
+    o, n = ([line.strip() for line in text.splitlines() if line.strip()] for text in (old, new))
+    while o and n and o[0] == n[0]:
+        o, n = o[1:], n[1:]
+    while o and n and o[-1] == n[-1]:
+        o, n = o[:-1], n[:-1]
+    return f"{' / '.join(o)} -> {' / '.join(n) or '(deleted)'}"
+
+
+def run(file: str, old: str, new: str) -> tuple[str, str]:
+    """(verdict, first failing test) of one mutant, tested in a copy."""
+    text = (ROOT / file).read_text(encoding="utf-8")
+    if old not in text:
+        return "not applicable", ""
+    if text.count(old) > 1:
+        raise ValueError(f"{file}: {old!r} occurs more than once")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache"))
+        (copy / file).write_text(text.replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return "survived", ""
+    failed = [line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return "killed", failed[0] if failed else f"exit {done.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    faults, reasons = 0, []
+    for k in chosen:
+        file, old, new, expected = MUTANTS[k - 1]
+        start = time.perf_counter()
+        verdict, test = run(file, old, new)
+        elapsed = time.perf_counter() - start
+        if expected == "killed":
+            faults += verdict != "killed"
+        else:
+            reasons.append(f"{k}: {expected}")
+        print(f"{k:>2} {Path(file).stem}: {describe(old, new):<72.72} {verdict:<14} "
+              f"{test or '-':<72} {elapsed:5.1f}", flush=True)
+    for reason in reasons:
+        print(reason)
+    print(f"{faults} mutant(s) expected killed and not killed")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

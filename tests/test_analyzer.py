@@ -18,11 +18,14 @@ from helpers import (
     PITFALL_LEVELS_ROWS,
     PITFALL_UNSAFE_ROWS,
     forbid,
+    holds_invariants,
+    invariant_states,
     pad_at,
     pad_pair,
     random_circuit,
     reference_rows,
     run_pitfall_trace,
+    s_d_are_singletons,
     state_row,
     validate_partition,
 )
@@ -352,10 +355,43 @@ class TestModeInvariants:
             assert work(chain, NO_LEVELS) == (n - 1, 0)
 
     def test_no_levels_keeps_lvl_singleton(self):
-        for c in self._random_circuits(200, 37):
+        """I1, on every snapshot."""
+        for c in [*self._random_circuits(200, 37), *self._wide_circuits()]:
             _, steps = analyze_traced(c, NO_LEVELS)
             for step in steps:
                 assert all(len(b) == 1 for b in step.state.lvl.blocks())
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_s_and_d_qubits_are_singletons(self, mode):
+        """I2, on every snapshot: an `s` or `d` qubit is alone in both
+        partitions."""
+        for c in [*self._random_circuits(200, 47), *self._wide_circuits()]:
+            _, steps = analyze_traced(c, mode)
+            for step in steps:
+                st = step.state
+                assert s_d_are_singletons(st.labels, st.sep.members, st.lvl.members), state_row(st)
+
+    @pytest.mark.parametrize("n, counts", [(3, (49, 37, 69)), (4, (259, 151, 569))],
+                             ids=["3-wires", "4-wires"])
+    def test_invariants_are_inductive(self, n, counts):
+        """From every state on n wires that satisfies a mode's invariants,
+        reached or not, every rule at every base wire gives a state that
+        satisfies them again, with both partitions well formed, and returns
+        True exactly when the state changed: CX case 4 and analyze_traced
+        rely on that flag. Counts are per mode, in AnalysisMode order."""
+        for mode, count in zip(AnalysisMode, counts):
+            states = list(invariant_states(n, mode))
+            assert len(states) == count
+            for labels, sep, lvl in states:
+                for kind, rule in qent.analyzer._RULES.items():
+                    for q in range(n - kind.height + 1):
+                        b, sp, lv = list(labels), list(sep), list(lvl)
+                        changed = rule(b, sp, lv, q, mode)
+                        where = (mode.value, kind.value, q, labels, sep, lvl)
+                        assert holds_invariants(b, sp, lv, mode), where
+                        validate_partition(Partition(tuple(sp)))
+                        validate_partition(Partition(tuple(lv)))
+                        assert changed is ((b, sp, lv) != (labels, list(sep), list(lvl))), where
 
     def test_no_levels_sep_is_monotone(self):
         """Modulo SW wire relabeling, entanglement blocks only ever merge."""

@@ -21,7 +21,8 @@ from qent.circuit import CX, DEFAULT_QUBIT_LIMIT, H, GateKind, Seq, parse_circui
 from qent.cli import _soundness_doc, _split_pairs, main, state_to_document
 from qent.domain import AbstractState, Partition
 from qent.oracle import check_soundness, simulate
-from helpers import ALL_KINDS, forbid, pad_at, random_circuit, reference_rows, state_row
+from helpers import (ALL_KINDS, forbid, pad_at, random_circuit, reference_rows,
+                     set_partitions, state_row)
 
 
 @pytest.fixture
@@ -476,32 +477,13 @@ class TestCompare:
         assert code == 2
 
 
-def set_partitions(n):
-    """Every set partition of range(n), as lists of blocks."""
-    blocks: list[list[int]] = []
-
-    def grow(k):
-        if k == n:
-            yield [list(block) for block in blocks]
-            return
-        for block in blocks:
-            block.append(k)
-            yield from grow(k + 1)
-            block.pop()
-        blocks.append([k])
-        yield from grow(k + 1)
-        blocks.pop()
-
-    return grow(0)
-
-
 class TestComparePairs:
     """compare's pairs come from grouping each no-levels block by levels
     block; the pairs inside one group are never visited."""
 
     def test_equal_to_all_pairs_scan_on_every_small_partition_pair(self):
         for n, bell in enumerate([1, 1, 2, 5, 15, 52]):
-            partitions = [Partition.from_blocks(blocks, n) for blocks in set_partitions(n)]
+            partitions = [Partition.from_blocks(blocks, n) for blocks in set_partitions(range(n))]
             assert len(partitions) == bell
             for coarse in partitions:
                 for fine in partitions:

@@ -7,28 +7,9 @@ import random
 import pytest
 
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
-from helpers import NaivePartition, validate_partition
+from helpers import NaivePartition, set_partitions, validate_partition
 
 S, D, TOP = BasisLabel.S, BasisLabel.D, BasisLabel.TOP
-
-
-def all_set_partitions(n):
-    """Every set partition of {0..n-1}, via restricted growth strings."""
-    if n == 0:
-        yield []
-        return
-
-    def grow(prefix, max_block):
-        if len(prefix) == n:
-            blocks = [[] for _ in range(max_block + 1)]
-            for i, b in enumerate(prefix):
-                blocks[b].append(i)
-            yield blocks
-            return
-        for b in range(max_block + 2):
-            yield from grow(prefix + [b], max(max_block, b))
-
-    yield from grow([0], 0)
 
 
 def part(*blocks):
@@ -60,7 +41,7 @@ class TestEncoding:
     def test_encode_decode_identity_exhaustive(self, n):
         """decode(encode(S)) == S for every partition of <= 6 elements."""
         count = 0
-        for blocks in all_set_partitions(n):
+        for blocks in set_partitions(range(n)):
             p = Partition.from_blocks(blocks, n)
             validate_partition(p)
             assert p.blocks() == sorted((sorted(b) for b in blocks), key=lambda b: b[0])
@@ -228,7 +209,7 @@ class TestExhaustiveSmallScope:
         every (i, j) equal the oracle's result, and return the receiver
         itself exactly when nothing changes."""
         cases = 0
-        for blocks in all_set_partitions(n):
+        for blocks in set_partitions(range(n)):
             p = Partition.from_blocks(blocks, n)
             naive = NaivePartition(blocks)
             for i in range(n):
