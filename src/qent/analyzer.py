@@ -25,14 +25,16 @@ rebind its partitions. Three rule modes are selectable:
   it can entangle, marks a fresh diagonal-control/standard-target pair as
   leveled, and uses a tracked level to split the target back out when the
   same pair is CX'd again.
-* NO_LEVELS: ignores the level partition entirely; entanglement blocks
-  only ever grow.
+* NO_LEVELS: never joins levels, so from `init_state` its level blocks
+  stay singletons (I1 below), CX case 3 never fires and entanglement
+  blocks only ever grow.
 * UNSAFE_LEVELING: deliberately flawed variant that marks qubits as
   leveled whenever the CX target is labeled s, regardless of the control
   label. Kept for demonstrating (via the oracle) how that rule lets the
   analysis claim an entangled qubit is separable.
 
-Two invariants hold on every state reachable from `init_state`:
+Two invariants hold on every state reachable from `init_state` in a given
+mode:
 
 * I1 (NO_LEVELS): every level block is a singleton. Levels are joined only
   by CX case 2, which skips the join in NO_LEVELS, and by case 4 in
@@ -47,7 +49,10 @@ breaks these too: CX case 3 tests `target in lvl[control]` in every mode
 (by I1 false in NO_LEVELS); CX case 4 reports a change only through the
 separability join (by I2 a label it turns top belonged to a singleton, so
 the join changes); H on a top wire splits its level in every mode (by I1
-an O(1) no-op in NO_LEVELS).
+an O(1) no-op in NO_LEVELS). The rules assume the invariants of their
+mode: on a state that breaks them (which only a caller that builds its own
+`AbstractState` can pass to `apply_gate` or `apply_cx_at`), NO_LEVELS
+splits by CX case 3 and by H on a top wire as LEVELS does.
 
 Cost per gate is O(1) for labels. A partition update that changes
 nothing (a join within a block, a split of a singleton, a swap of two
@@ -109,6 +114,9 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
          because a superposed control breaks any correlation the target
          had with third qubits. In UNSAFE_LEVELING mode the pair is
          instead marked leveled whenever the target was labeled s.
+
+    st must satisfy the mode's invariants (see the module docstring), as
+    every state reached from init_state in that mode does.
     """
     n = st.n
     if not (0 <= control < n and 0 <= target < n):
@@ -174,7 +182,11 @@ _RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _swap_a
 
 def apply_gate(st: AbstractState, kind: GateKind, index: int,
                mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
-    """Apply one gate's transfer function at the given base wire, mutating st."""
+    """Apply one gate's transfer function at the given base wire, mutating st.
+
+    st must satisfy the mode's invariants (see the module docstring), as
+    every state reached from init_state in that mode does.
+    """
     if index < 0 or index + kind.height > st.n:
         raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
     rule = _RULES.get(kind)

@@ -379,18 +379,13 @@ def set_partitions(items):
             yield [*blocks[:k], [first, *blocks[k]], *blocks[k + 1:]]
 
 
-def s_d_are_singletons(labels, sep, lvl):
-    """I2 over member sequences: a qubit labeled s or d is alone in both
-    partitions."""
-    return all(label is BasisLabel.TOP or len(sep[q]) == len(lvl[q]) == 1
-               for q, label in enumerate(labels))
-
-
 def holds_invariants(labels, sep, lvl, mode):
     """The analyzer docstring's invariants for mode, over member sequences:
-    I2 in every mode; I1 (levels all singletons) in NO_LEVELS; in LEVELS,
-    each level block is one qubit or a pair inside one separability block."""
-    if not s_d_are_singletons(labels, sep, lvl):
+    I2 (an s or d qubit is alone in both partitions) in every mode; I1
+    (levels all singletons) in NO_LEVELS; in LEVELS, each level block is one
+    qubit or a pair inside one separability block."""
+    if not all(label is BasisLabel.TOP or len(sep[q]) == len(lvl[q]) == 1
+               for q, label in enumerate(labels)):
         return False
     if mode is AnalysisMode.NO_LEVELS:
         return all(len(block) == 1 for block in lvl)

@@ -1,7 +1,7 @@
 """One digest of everything the command line prints, to show that a change
 keeps each output byte-identical.
 
-    PYTHONPATH=src python tests/identity.py [--wide]
+    PYTHONPATH=src python tests/identity.py
 
 Runs `qent.cli.main` in-process on a fixed corpus and prints the command
 lines run per exit code and one SHA-256 over (argv, exit code, stdout,
@@ -10,9 +10,9 @@ hashed. Run it on two checkouts: equal digests mean equal outputs. The
 corpus is written to a temporary directory, which is the working directory
 of the run, so paths in the output do not depend on it:
 
-* the files bench/run.py's build_ops writes for seeds 1-3 of both
+* the files bench/run.py's build_ops writes for seeds 1-10 of both
   workloads (bench/ is only read);
-* 400 random circuits (helpers.random_circuit) of 1-12 wires and 1-14
+* 1,000 random circuits (helpers.random_circuit) of 1-12 wires and 1-14
   columns;
 * an error corpus: a missing file, non-UTF-8 bytes, a byte-order mark, an
   unknown token, a single `*`, an unbalanced `(`, a height mismatch, an
@@ -22,17 +22,14 @@ Each file runs through `compare` and through `analyze` in 3 modes x text and
 JSON x with and without --trace x with and without --check-oracle; the error
 corpus also with `--check-oracle --max-oracle-qubits 1`. The build_ops
 `main` inputs run without --trace, whose output would run to gigabytes.
-
---wide takes seeds 1-10 and 1,000 random circuits (the first 400 as above),
-and adds the command lines that end in argparse's own exits: no command, an
-unknown option, `--mode bogus`, `--max-oracle-qubits 0`, a missing FILE and
-`analyze --help`. COLUMNS is fixed, so the help text does not depend on
+Last come the command lines that end in argparse's own exits: no command,
+an unknown option, `--mode bogus`, `--max-oracle-qubits 0`, a missing FILE
+and `analyze --help`. COLUMNS is fixed, so the help text does not depend on
 the terminal.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -88,19 +85,18 @@ def command_lines(path: str, trace: bool = True, low_limit: bool = False) -> lis
         for mode in AnalysisMode for fmt in ("text", "json") for t in traces for o in oracles]
 
 
-def corpus(wide: bool) -> list[list[str]]:
+def corpus() -> list[list[str]]:
     """Writes the corpus into the working directory; its command lines."""
-    seeds, randoms = (range(1, 11), 1000) if wide else ((1, 2, 3), 400)
     lines = []
     for workload in bench_run.WORKLOADS:
-        for seed in seeds:
+        for seed in range(1, 11):
             workdir = f"{workload}-{seed}"
             os.mkdir(workdir)
             ops = bench_run.build_ops(workload, seed, workdir)
             for path in sorted({op.case.path for op in ops}):
                 lines += command_lines(path, trace=os.path.basename(path) != "main.qc")
     rng = random.Random(2024)
-    for k in range(randoms):
+    for k in range(1000):
         path = f"random{k:03}.qc"
         Path(path).write_text(unparse(random_circuit(rng, rng.randint(1, 12), rng.randint(1, 14))),
                               encoding="utf-8")
@@ -109,18 +105,14 @@ def corpus(wide: bool) -> list[list[str]]:
         if data is not None:
             Path(path).write_bytes(data)
         lines += command_lines(path, low_limit=True)
-    return lines + ARGPARSE_EXITS if wide else lines
+    return lines + ARGPARSE_EXITS
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--wide", action="store_true",
-                        help="seeds 1-10, 1,000 random circuits and argparse's exits")
-    wide = parser.parse_args(argv).wide
+def main() -> int:
     os.environ["COLUMNS"] = "80"
     digest, codes = hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
-        for line in corpus(wide):
+        for line in corpus():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:

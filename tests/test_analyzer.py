@@ -25,7 +25,6 @@ from helpers import (
     random_circuit,
     reference_rows,
     run_pitfall_trace,
-    s_d_are_singletons,
     state_row,
     validate_partition,
 )
@@ -362,14 +361,15 @@ class TestModeInvariants:
                 assert all(len(b) == 1 for b in step.state.lvl.blocks())
 
     @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
-    def test_s_and_d_qubits_are_singletons(self, mode):
-        """I2, on every snapshot: an `s` or `d` qubit is alone in both
-        partitions."""
+    def test_invariants_hold_on_every_snapshot(self, mode):
+        """The mode's invariants (helpers.holds_invariants: I2, and I1 in
+        NO_LEVELS), on every snapshot."""
         for c in [*self._random_circuits(200, 47), *self._wide_circuits()]:
             _, steps = analyze_traced(c, mode)
             for step in steps:
                 st = step.state
-                assert s_d_are_singletons(st.labels, st.sep.members, st.lvl.members), state_row(st)
+                assert holds_invariants(st.labels, st.sep.members, st.lvl.members, mode), \
+                    state_row(st)
 
     @pytest.mark.parametrize("n, counts", [(3, (49, 37, 69)), (4, (259, 151, 569))],
                              ids=["3-wires", "4-wires"])
