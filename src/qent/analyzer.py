@@ -19,7 +19,9 @@ I, X, Y and Z preserve every basis, so they have no entry: they are
 abstract no-ops. `analyze` and `analyze_traced` run the rules on one
 working copy of the state; `apply_gate`, `apply_cx_at` and
 `AbstractState.swap_adjacent` run the same rules on a given state and
-rebind its partitions. Three rule modes are selectable:
+rebind its partitions. Three rule modes are selectable; the four functions
+that take a mode take an AnalysisMode or its value ("no-levels"), and raise
+ValueError on anything else:
 
 * LEVELS (default): full rules. CX joins the entanglement partition when
   it can entangle, marks a fresh diagonal-control/standard-target pair as
@@ -118,6 +120,7 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
     st must satisfy the mode's invariants (see the module docstring), as
     every state reached from init_state in that mode does.
     """
+    mode = AnalysisMode(mode)
     n = st.n
     if not (0 <= control < n and 0 <= target < n):
         raise IndexError(f"cx({control},{target}) out of range for n={n}")
@@ -184,9 +187,12 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
                mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Apply one gate's transfer function at the given base wire, mutating st.
 
-    st must satisfy the mode's invariants (see the module docstring), as
-    every state reached from init_state in that mode does.
+    kind is a GateKind or its value ("CX"), not a tree's Gate node. st must
+    satisfy the mode's invariants (see the module docstring), as every state
+    reached from init_state in that mode does.
     """
+    kind = GateKind(kind)
+    mode = AnalysisMode(mode)
     if index < 0 or index + kind.height > st.n:
         raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
     rule = _RULES.get(kind)
@@ -208,6 +214,7 @@ def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
 
 def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Run the analysis over a circuit from the all-|0> state."""
+    mode = AnalysisMode(mode)
     labels, sep, lvl = _start(circuit)
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
@@ -226,6 +233,7 @@ def analyze_traced(circuit: CircuitAst,
     step whose state did not change shares the previous step's read-only
     snapshot.
     """
+    mode = AnalysisMode(mode)
     labels, sep, lvl = _start(circuit)
     snap = _snapshot(labels, sep, lvl)
     steps: list[TraceStep] = []

@@ -42,7 +42,17 @@ from itertools import islice
 from typing import Iterator, Union
 
 
-class GateKind(Enum):
+class _Symbol(Enum):
+    """The base of GateKind and BasisLabel. Members are singletons and == is
+    identity, so an identity hash agrees with it; it replaces Enum.__hash__,
+    a Python call on every rule, unitary and output table lookup. Its values
+    differ between processes, so no output may depend on them: no member is
+    kept in a set."""
+
+    __hash__ = object.__hash__
+
+
+class GateKind(_Symbol):
     I = "I"
     X = "X"
     Y = "Y"
@@ -51,12 +61,6 @@ class GateKind(Enum):
     T = "T"
     SW = "SW"
     CX = "CX"
-
-    # Members are singletons and == is identity, so an identity hash agrees
-    # with it; it replaces Enum.__hash__, a Python call on every rule and
-    # unitary table lookup. Its values differ between processes, so no
-    # output may depend on them: no GateKind is kept in a set.
-    __hash__ = object.__hash__
 
     @property
     def height(self) -> int:
@@ -154,17 +158,22 @@ GATES = {g.kind.value: g for g in (I, X, Y, Z, H, T, SW, CX)}
 DEFAULT_QUBIT_LIMIT = 12
 
 
-class CircuitSyntaxError(Exception):
-    """Raised on malformed circuit text; carries 1-based line/column."""
+class _Located(Exception):
+    """An error with a message and, where it has one, a 1-based line and
+    column, which str() puts in front of the message."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{line}:{column}: {message}")
         self.message = message
         self.line = line
         self.column = column
 
 
-class ValidationError(Exception):
+class CircuitSyntaxError(_Located):
+    """Raised on malformed circuit text; carries 1-based line/column."""
+
+
+class ValidationError(_Located):
     """Raised when a sequence composes circuits of different heights.
 
     Seq raises it when it is built, so no ill-formed tree exists. Raised by
@@ -174,13 +183,10 @@ class ValidationError(Exception):
 
     def __init__(self, left_height: int, right_height: int,
                  line: int | None = None, column: int | None = None):
-        self.message = (f"sequence composes circuits of different heights "
-                        f"({left_height} vs {right_height})")
-        super().__init__(self.message if line is None else f"{line}:{column}: {self.message}")
+        super().__init__(f"sequence composes circuits of different heights "
+                         f"({left_height} vs {right_height})", line, column)
         self.left_height = left_height
         self.right_height = right_height
-        self.line = line
-        self.column = column
 
 
 # The reference lexer. One match per token: `**`, a parenthesis, a word (a

@@ -115,8 +115,9 @@ def _block_json(block: frozenset[int]) -> str:
 
 
 def _json_list(items) -> str:
-    body = ",".join(items)
-    return f"[{body}\n{_PAD}]" if body else "[]"
+    """Rendered items as a list closed at a trace entry's depth. No list is
+    empty: every state has a qubit, so a label and a block."""
+    return f"[{','.join(items)}\n{_PAD}]"
 
 
 class _StateWriter(dict):
@@ -211,7 +212,7 @@ def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep]
                   f'      "index": {step.index},\n      ')
             write(body)
             sep = ",\n"
-        write("\n  ]" if trace else "]")
+        write("\n  ]")  # every circuit has a gate, so no trace is empty
     write(tail + "\n")
 
 

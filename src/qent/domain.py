@@ -22,20 +22,15 @@ rebuilds p's members exactly when they form a partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
+from .circuit import _Symbol
 
-class BasisLabel(Enum):
+
+class BasisLabel(_Symbol):
     S = "s"      # computational basis state |0> or |1>
     D = "d"      # diagonal basis state |+> or |->
     TOP = "top"  # could be anything
-
-    # Members are singletons and == is identity, so an identity hash agrees
-    # with it; it replaces Enum.__hash__, a Python call on every output
-    # table lookup. Its values differ between processes, so no output may
-    # depend on them: no BasisLabel is kept in a set.
-    __hash__ = object.__hash__
 
 
 def _join(members: list[frozenset[int]], i: int, j: int) -> bool:

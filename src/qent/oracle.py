@@ -249,15 +249,13 @@ def basis_oracle(state: DenseState, qubit: int) -> ConcreteBasis:
     n = state.n
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for n={n}")
-    if n == 1:
-        vec = state.amps
-    else:
-        m = _bipartition_matrix(state, (qubit,))
-        # reduced SVD: the 2^(n-1) x 2^(n-1) right factor is never read
-        u, sv, _ = np.linalg.svd(m, full_matrices=False)
-        if sv[1] >= EPS:
-            return ConcreteBasis.NEITHER
-        vec = u[:, 0]
+    m = _bipartition_matrix(state, (qubit,))
+    # reduced SVD: the 2^(n-1) x 2^(n-1) right factor is never read. At n = 1
+    # m is one column, so sv[1:] is empty and u[:, 0] is the state up to phase.
+    u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    if sv[1:].sum() >= EPS:
+        return ConcreteBasis.NEITHER
+    vec = u[:, 0]
     if max(abs(vec[0]), abs(vec[1])) > 1 - EPS:
         return ConcreteBasis.STANDARD
     if max(abs(vec[0] + vec[1]), abs(vec[0] - vec[1])) / _SQRT2 > 1 - EPS:

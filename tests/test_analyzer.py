@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import pickle
 import random
 
 import pytest
 
 import qent.analyzer
+import qent.circuit
 from qent.analyzer import AnalysisMode, analyze, analyze_traced, apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
@@ -155,6 +157,57 @@ class TestCxCases:
             apply_cx_at(st, 1, 1)
         with pytest.raises(IndexError):
             apply_cx_at(st, 0, 3)
+
+
+class TestArgumentValues:
+    """The entry points read the mode they are given, and apply_gate the gate
+    kind: a member or its value acts as the member, and anything else raises
+    ValueError."""
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    def test_mode_value_acts_as_member(self, mode):
+        """On every state on 3 wires that satisfies the mode's invariants, for
+        every gate and CX pair, and on random circuits."""
+        for labels, sep, lvl in invariant_states(3, mode):
+            updates = [(apply_gate, kind, q) for kind in GateKind for q in range(4 - kind.height)]
+            updates += [(apply_cx_at, *pair) for pair in itertools.permutations(range(3), 2)]
+            for update, *args in updates:
+                rows = [state_row(update(AbstractState(list(labels), Partition(sep),
+                                                       Partition(lvl)), *args, m))
+                        for m in (mode, mode.value)]
+                assert rows[0] == rows[1], (update.__name__, args, labels, sep, lvl)
+        rng = random.Random(5)
+        for _ in range(300):
+            c = random_circuit(rng, rng.randint(2, 6), rng.randint(1, 12))
+            assert state_row(analyze(c, mode.value)) == state_row(analyze(c, mode))
+            traces = [[state_row(final), [(step.gate, step.index, state_row(step.state))
+                                          for step in steps]]
+                      for final, steps in (analyze_traced(c, m) for m in (mode, mode.value))]
+            assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("foreign", ["bogus", "LEVELS", None, GateKind.H],
+                             ids=["bogus", "member-name", "None", "GateKind"])
+    def test_foreign_mode_raises(self, foreign):
+        circuit = parse_circuit("H ** I oo CX")
+        calls = [lambda: analyze(circuit, foreign), lambda: analyze_traced(circuit, foreign),
+                 lambda: apply_gate(init_state(2), GateKind.I, 0, foreign),
+                 lambda: apply_cx_at(init_state(2), 0, 1, foreign)]
+        for call in calls:
+            with pytest.raises(ValueError, match="is not a valid AnalysisMode"):
+                call()
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_kind_value_acts_as_member(self, kind):
+        rows = [state_row(apply_gate(state([D, S, TOP]), k, 0)) for k in (kind, kind.value)]
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("foreign", [qent.circuit.H, "h", "CNOT", None],
+                             ids=["Gate-node", "lowercase", "unknown", "None"])
+    def test_foreign_kind_raises(self, foreign):
+        st = state([D, S])
+        with pytest.raises(ValueError, match="is not a valid GateKind"):
+            apply_gate(st, foreign, 0)
+        assert state_row(st) == state_row(state([D, S]))
 
 
 class TestAnalyzeExamples:

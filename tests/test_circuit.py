@@ -31,6 +31,7 @@ from qent.circuit import (
     unparse,
     validate,
 )
+from qent.domain import BasisLabel
 from helpers import ALL_KINDS, random_circuit
 
 
@@ -251,6 +252,14 @@ class TestHeight:
 
 
 class TestNodes:
+    def test_enums_hash_by_identity(self):
+        """GateKind and BasisLabel share one identity hash and define none of
+        their own."""
+        for enum in (GateKind, BasisLabel):
+            assert "__hash__" not in vars(enum)
+            assert enum.__hash__ is object.__hash__
+            assert all(hash(member) == object.__hash__(member) for member in enum)
+
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_gate_built_outside_parser(self, kind):
         gate, singleton = Gate(kind), GATES[kind.value]
@@ -292,6 +301,12 @@ class TestNodes:
         assert H != Tensor(H, I) and Tensor(H, I) != H
         assert {Tensor(H, I): 1}[parse_circuit("H ** I")] == 1
 
+    def test_equality_with_non_nodes(self):
+        """A node compares unequal to anything that is not a node."""
+        assert H.__eq__("H") is NotImplemented
+        assert not H == "H"
+        assert Seq(H, H) != 1
+
     def test_copy_and_pickle(self):
         tree = Seq(Tensor(H, I), CX)
         for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
@@ -303,6 +318,23 @@ class TestValidate:
     def test_well_formed(self):
         assert validate(Seq(Tensor(H, I), CX)) == 2
         assert validate(I) == 1
+
+    def test_errors_are_located_siblings(self):
+        """Both errors keep message, line and column, and str() puts
+        `line:col: ` in front of the message when there is a line; neither is
+        the other."""
+        with pytest.raises(CircuitSyntaxError) as syntax:
+            parse_circuit("H * I")
+        with pytest.raises(ValidationError) as height:
+            parse_circuit("H oo CX")
+        message = "sequence composes circuits of different heights (1 vs 2)"
+        assert (syntax.value.message, syntax.value.line, syntax.value.column) == (
+            "expected '**' (single '*' is not an operator)", 1, 3)
+        assert str(syntax.value) == "1:3: expected '**' (single '*' is not an operator)"
+        assert (height.value.message, height.value.line, height.value.column) == (message, 1, 3)
+        assert str(height.value) == "1:3: " + message
+        assert not isinstance(syntax.value, ValidationError)
+        assert not isinstance(height.value, CircuitSyntaxError)
 
     def test_mismatch(self):
         with pytest.raises(ValidationError) as err:

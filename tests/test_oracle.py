@@ -609,6 +609,18 @@ class TestBasisOracle:
         s = DenseState.from_amplitudes([0, np.exp(1j * 0.3)])
         assert basis_oracle(s, 0) is ConcreteBasis.STANDARD
 
+    def test_one_qubit_state_takes_the_general_path(self):
+        """A one-qubit state classifies as it does beside a |0> wire."""
+        rng = np.random.default_rng(3)
+        angles = [0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 1e-6, np.pi / 4 + 1e-6]
+        amps = [[np.cos(a / 2), np.exp(1j * p) * np.sin(a / 2)]
+                for a in angles for p in (0, np.pi, 0.3)]
+        amps += list(rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2)))
+        for a in amps:
+            s = DenseState.from_amplitudes(a, normalize=True)
+            wide = s.tensor(DenseState.zero(1))
+            assert basis_oracle(s, 0) is basis_oracle(wide, 0), a
+
     def test_pauli_preserve_h_switches(self):
         """Basis behavior per gate: I/X/Y/Z preserve, H switches."""
         for prep, basis in [("I", ConcreteBasis.STANDARD), ("X", ConcreteBasis.STANDARD),
