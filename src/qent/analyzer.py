@@ -16,12 +16,12 @@ state's value changed:
 * SW exchanges the two wires across labels and both partitions.
 
 I, X, Y and Z preserve every basis, so they have no entry: they are
-abstract no-ops. `analyze` and `analyze_traced` run the rules on one
-working copy of the state; `apply_gate`, `apply_cx_at` and
-`AbstractState.swap_adjacent` run the same rules on a given state and
-rebind its partitions. Three rule modes are selectable; the four functions
-that take a mode take an AnalysisMode or its value ("no-levels"), and raise
-ValueError on anything else:
+abstract no-ops. `analyze` and `analyze_traced` are two calls of one
+loop, `_walk`, that runs the rules on one working copy of the state;
+`apply_gate`, `apply_cx_at` and `AbstractState.swap_adjacent` run the
+same rules on a given state and rebind its partitions. Three rule modes
+are selectable; the four functions that take a mode take an AnalysisMode
+or its value ("no-levels"), and raise ValueError on anything else:
 
 * LEVELS (default): full rules. CX joins the entanglement partition when
   it can entangle, marks a fresh diagonal-control/standard-target pair as
@@ -212,16 +212,28 @@ def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
     return AbstractState(list(labels), Partition(tuple(sep)), Partition(tuple(lvl)))
 
 
-def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
-    """Run the analysis over a circuit from the all-|0> state."""
+def _walk(circuit: CircuitAst, mode: AnalysisMode,
+          steps: list[TraceStep] | None = None) -> AbstractState:
+    """The one analysis loop, from the all-|0> state; a snapshot of the end
+    state. Given a steps list, it also appends one TraceStep per gate."""
     mode = AnalysisMode(mode)
     labels, sep, lvl = _start(circuit)
+    if steps is not None:
+        snap = _snapshot(labels, sep, lvl)
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
         rule = rules(gate.kind)
-        if rule is not None:
-            rule(labels, sep, lvl, index, mode)
+        changed = rule is not None and rule(labels, sep, lvl, index, mode)
+        if steps is not None:
+            if changed:
+                snap = _snapshot(labels, sep, lvl)
+            steps.append(TraceStep(gate.kind, index, snap))
     return _snapshot(labels, sep, lvl)
+
+
+def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
+    """Run the analysis over a circuit from the all-|0> state."""
+    return _walk(circuit, mode)
 
 
 def analyze_traced(circuit: CircuitAst,
@@ -233,14 +245,5 @@ def analyze_traced(circuit: CircuitAst,
     step whose state did not change shares the previous step's read-only
     snapshot.
     """
-    mode = AnalysisMode(mode)
-    labels, sep, lvl = _start(circuit)
-    snap = _snapshot(labels, sep, lvl)
     steps: list[TraceStep] = []
-    rules = _RULES.get
-    for gate, index in iter_gates(circuit):
-        rule = rules(gate.kind)
-        if rule is not None and rule(labels, sep, lvl, index, mode):
-            snap = _snapshot(labels, sep, lvl)
-        steps.append(TraceStep(gate.kind, index, snap))
-    return AbstractState(labels, snap.sep, snap.lvl), steps
+    return _walk(circuit, mode, steps), steps

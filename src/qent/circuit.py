@@ -188,6 +188,11 @@ class ValidationError(_Located):
         self.left_height = left_height
         self.right_height = right_height
 
+    def __reduce__(self):
+        # args holds only the formatted message, so rebuild from the arguments
+        return (type(self), (self.left_height, self.right_height, self.line, self.column),
+                self.__dict__)
+
 
 # The reference lexer. One match per token: `**`, a parenthesis, a word (a
 # letter, then letters or digits), or any other non-space character, which is

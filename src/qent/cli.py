@@ -17,8 +17,8 @@ Every state printed (the final state in text and JSON, compare's two lines,
 each trace line and each JSON trace entry) is formatted by one
 `_StateWriter`, made anew for each output. The JSON is written by hand and
 is byte-for-byte `json.dumps(state_to_document(...), indent=2)`; json.dumps
-writes only the fields that are not a state. A trace is O(n x m) bytes for
-n qubits and m gates, but each distinct snapshot and each distinct block is
+encodes only the soundness report. A trace is O(n x m) bytes for n
+qubits and m gates, but each distinct snapshot and each distinct block is
 rendered once; a step that changes nothing writes its prefix and reuses the
 previous snapshot's text.
 
@@ -184,24 +184,18 @@ def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep]
     """Print json.dumps(document, indent=2) for state_to_document(state, mode,
     trace) with "soundness" added when there is a report.
 
-    json.dumps writes only the fields that are not a state, around two
-    placeholders; the state fields and the trace entries are put in their
-    place by a _StateWriter. Each distinct snapshot is rendered once, and the
-    entries are written one at a time, so the output is never held whole."""
-    head = {"qubits": state.n, "mode": mode.value, "state": 0}
-    if trace is not None:
-        head["trace"] = 0
-    if report is not None:
-        head["soundness"] = _soundness_doc(report)
-    top, _, rest = json.dumps(head, indent=2).partition('"state": 0')
-    middle, _, tail = rest.partition('"trace": 0')
+    The frame is written here as text, the state fields and the trace entries
+    by a _StateWriter, and json.dumps encodes only the soundness report. Each
+    distinct snapshot is rendered once, and the entries are written one at a
+    time, so the output is never held whole."""
     writer = _StateWriter(_block_json)
     write = sys.stdout.write
     # the final state's fields, rendered at a trace entry's depth (its blocks
     # are the last snapshot's) and moved up to the top level, 4 spaces less
-    write(top + writer.json(state).replace("\n    ", "\n") + middle)
+    write(f'{{\n  "qubits": {state.n},\n  "mode": "{mode.value}",\n  '
+          + writer.json(state).replace("\n    ", "\n"))
     if trace is not None:
-        write('"trace": [')
+        write(',\n  "trace": [')
         gates = _GATE_TEXT
         snap = body = None
         sep = "\n"
@@ -213,7 +207,10 @@ def _print_json(state: AbstractState, mode: AnalysisMode, trace: list[TraceStep]
             write(body)
             sep = ",\n"
         write("\n  ]")  # every circuit has a gate, so no trace is empty
-    write(tail + "\n")
+    if report is not None:
+        write(',\n  "soundness": '
+              + json.dumps(_soundness_doc(report), indent=2).replace("\n", "\n  "))
+    write("\n}\n")
 
 
 def _soundness_doc(report: SoundnessReport) -> dict:

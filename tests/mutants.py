@@ -2,8 +2,9 @@
 
     python tests/mutants.py [NUMBER ...]
 
-MUTANTS lists single edits (file, old, new, expected) of the rules in
-`analyzer` and the partition operations in `domain` they call. For each
+MUTANTS lists single edits (file, old, new, expected) of the rules and the
+analysis loop in `analyzer` and the partition operations in `domain` they
+call. For each
 mutant (or only those NUMBERs, counted from 1), the checkout is copied to
 a temporary directory, `old` is replaced by `new` there (the checkout
 itself is never edited), and the tier-1 suite runs in the copy with -x.
@@ -80,6 +81,11 @@ MUTANTS = [
     (DOMAIN, "return (_swap(sep, i, j) | _swap(lvl, i, j)) or a is not b",
      "return _swap(sep, i, j) | _swap(lvl, i, j)", "killed"),
     (DOMAIN, "labels[i], labels[j] = b, a", "labels[i], labels[j] = a, b", "killed"),
+    # _walk: snapshot after every traced gate, not only after a change
+    (ANALYZER, "            if changed:\n", "            if True:\n", "killed"),
+    # domain._join: report a join within one block as a change
+    (DOMAIN, "        return False\n    block = bi | members[j]",
+     "        return True\n    block = bi | members[j]", "killed"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

@@ -336,6 +336,19 @@ class TestValidate:
         assert not isinstance(syntax.value, ValidationError)
         assert not isinstance(height.value, CircuitSyntaxError)
 
+    @pytest.mark.parametrize("err", [
+        CircuitSyntaxError("unexpected end of input", 2, 5), ValidationError(1, 2, 1, 3),
+        CircuitSyntaxError("unexpected end of input"), ValidationError(1, 2),
+    ], ids=["syntax-located", "height-located", "syntax-bare", "height-bare"])
+    def test_errors_survive_pickle_and_copy(self, err):
+        """A copy keeps the class, str(), message, position, heights and notes."""
+        err.add_note("a note")
+        fields = ("message", "line", "column", "left_height", "right_height", "__notes__")
+        for clone in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(clone) is type(err) and str(clone) == str(err)
+            assert [getattr(clone, f, None) for f in fields] == [getattr(err, f, None)
+                                                                 for f in fields]
+
     def test_mismatch(self):
         with pytest.raises(ValidationError) as err:
             Seq(H, CX)

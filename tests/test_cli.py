@@ -401,18 +401,37 @@ class TestTraceWriters:
                                                           " | ")
 
 
+def count_dumps(monkeypatch) -> list:
+    """A list that grows by one on each cli.json.dumps call."""
+    import qent.cli as cli
+
+    dumps = []
+    shim = types.SimpleNamespace(**vars(json))
+    shim.dumps = lambda *args, **kwargs: dumps.append(1) or json.dumps(*args, **kwargs)
+    monkeypatch.setattr(cli, "json", shim)
+    return dumps
+
+
 class TestOutputCost:
-    """A JSON trace is encoded by hand: json.dumps runs once per output,
-    whatever the trace length, and each distinct block is rendered once."""
+    """A JSON trace is encoded by hand: json.dumps encodes only the soundness
+    report, whatever the trace length, and each distinct block is rendered
+    once."""
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["final", "trace"])
+    @pytest.mark.parametrize("check, calls", [([], 0), (["--check-oracle"], 1)],
+                             ids=["plain", "oracle"])
+    def test_json_dumps_only_the_report(self, qc, capsys, monkeypatch, trace, check, calls):
+        dumps = count_dumps(monkeypatch)
+        code, out, _ = run(capsys, ["analyze", qc("H ** I oo CX"), "--format", "json",
+                                    *trace, *check])
+        assert code == 0 and json.loads(out)["qubits"] == 2
+        assert len(dumps) == calls
 
     def test_json_trace_renders_each_block_once(self, qc, capsys, monkeypatch):
         import qent.cli as cli
 
-        dumps, renders = [], []
-        shim = types.SimpleNamespace(**vars(json))
-        shim.dumps = lambda *args, **kwargs: dumps.append(1) or json.dumps(*args, **kwargs)
+        dumps, renders = count_dumps(monkeypatch), []
         block_json = cli._block_json
-        monkeypatch.setattr(cli, "json", shim)
         monkeypatch.setattr(cli, "_block_json", lambda *args: renders.append(1) or block_json(*args))
 
         circuit = random_circuit(random.Random(97), 48, 60, SWAP_HEAVY)

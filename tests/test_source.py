@@ -93,3 +93,13 @@ def test_one_error_path():
     stderr, refusals = error_path_sites()
     assert stderr and [site for site in stderr if not site.startswith("cli.main:")] == []
     assert refusals and [(site, code) for site, code in refusals if code not in EXIT_CODES] == []
+
+
+def test_one_analysis_loop():
+    """`analyze` and `analyze_traced` share one loop: analyzer.py has one
+    `for` statement over `iter_gates(...)`."""
+    tree = ast.parse((SRC / "analyzer.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Name)
+             and node.iter.func.id == "iter_gates"]
+    assert len(loops) == 1
