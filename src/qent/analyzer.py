@@ -16,10 +16,12 @@ state's value changed:
 * SW exchanges the two wires across labels and both partitions.
 
 I, X, Y and Z preserve every basis, so they have no entry: they are
-abstract no-ops. `analyze` and `analyze_traced` are two calls of one
-loop, `_walk`, that runs the rules on one working copy of the state;
-`apply_gate`, `apply_cx_at` and `AbstractState.swap_adjacent` run the
-same rules on a given state and rebind its partitions. Three rule modes
+abstract no-ops. One loop, `_walk`, serves `analyze`, `analyze_traced`
+and the CLI's `compare`: it keeps one working copy of the state per mode
+it is given and applies each gate's rule to every copy, so `compare`'s
+two modes take one pass over the gates. A trace comes with exactly one
+mode. `apply_gate`, `apply_cx_at` and `AbstractState.swap_adjacent` run
+the same rules on a given state and rebind its partitions. Three rule modes
 are selectable; the four functions that take a mode take an AnalysisMode
 or its value ("no-levels"), and raise ValueError on anything else:
 
@@ -62,9 +64,9 @@ singletons or within a block) is O(1); one that changes blocks re-points
 only the members of the blocks it changes, O(|Bi| + |Bj|). `analyze`
 builds the two `Partition` values once, at the end, so a full analysis is
 O(n) plus the sizes of the blocks changed by its m gates, at most
-O(n * m). A trace takes a snapshot, O(n), only after a gate whose rule
-reports a change; a step that changes nothing costs O(1) and compares no
-states.
+O(n * m), per mode; the pass over the tree is paid once for all modes. A
+trace takes a snapshot, O(n), only after a gate whose rule reports a
+change; a step that changes nothing costs O(1) and compares no states.
 """
 
 from __future__ import annotations
@@ -212,28 +214,35 @@ def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
     return AbstractState(list(labels), Partition(tuple(sep)), Partition(tuple(lvl)))
 
 
-def _walk(circuit: CircuitAst, mode: AnalysisMode,
-          steps: list[TraceStep] | None = None) -> AbstractState:
-    """The one analysis loop, from the all-|0> state; a snapshot of the end
-    state. Given a steps list, it also appends one TraceStep per gate."""
-    mode = AnalysisMode(mode)
-    labels, sep, lvl = _start(circuit)
+def _walk(circuit: CircuitAst, modes: tuple[AnalysisMode, ...],
+          steps: list[TraceStep] | None = None) -> list[AbstractState]:
+    """The one analysis loop, from the all-|0> state: one working state per
+    mode, and each gate's rule applied to every one of them in one pass over
+    the gates. Returns a snapshot of each end state, in the order of modes.
+    Given a steps list, and then exactly one mode, it also appends one
+    TraceStep per gate."""
+    work = [(*_start(circuit), AnalysisMode(mode)) for mode in modes]
     if steps is not None:
+        (labels, sep, lvl, _), = work
         snap = _snapshot(labels, sep, lvl)
     rules = _RULES.get
     for gate, index in iter_gates(circuit):
         rule = rules(gate.kind)
-        changed = rule is not None and rule(labels, sep, lvl, index, mode)
+        if rule is None:
+            changed = False
+        else:
+            for labels, sep, lvl, mode in work:
+                changed = rule(labels, sep, lvl, index, mode)
         if steps is not None:
             if changed:
                 snap = _snapshot(labels, sep, lvl)
             steps.append(TraceStep(gate.kind, index, snap))
-    return _snapshot(labels, sep, lvl)
+    return [_snapshot(labels, sep, lvl) for labels, sep, lvl, _ in work]
 
 
 def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """Run the analysis over a circuit from the all-|0> state."""
-    return _walk(circuit, mode)
+    return _walk(circuit, (mode,))[0]
 
 
 def analyze_traced(circuit: CircuitAst,
@@ -246,4 +255,4 @@ def analyze_traced(circuit: CircuitAst,
     snapshot.
     """
     steps: list[TraceStep] = []
-    return _walk(circuit, mode, steps), steps
+    return _walk(circuit, (mode,), steps)[0], steps

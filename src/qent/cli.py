@@ -22,10 +22,18 @@ qubits and m gates, but each distinct snapshot and each distinct block is
 rendered once; a step that changes nothing writes its prefix and reuses the
 previous snapshot's text.
 
-`compare` lists the pairs that share a no-levels block but not a levels
-block by grouping each no-levels block's members by their levels block,
-so it costs O(n) plus the pairs it prints (and their sort), not the
+`compare` analyzes both modes in one pass over the gates (`analyzer._walk`
+with two modes). It lists the pairs that share a no-levels block but not a
+levels block by grouping each no-levels block's members by their levels
+block, so it costs O(n) plus the pairs it prints (and their sort), not the
 square of a block's size.
+
+`main` pauses Python's cyclic garbage collector while a command runs and
+turns it back on only if it was on at entry. The syntax tree has tens of
+thousands of nodes and no reference cycles; a collection while it is built
+would re-scan it and free nothing. The cyclic objects a command leaves
+(argparse's parser graph) do not grow with its input. The library
+functions never touch the collector.
 
 Only --check-oracle imports the exact oracle, and numpy with it; `analyze`,
 `compare` and `--trace` never load either. The oracle's `simulate`,
@@ -37,13 +45,14 @@ those globals, so a replacement set on the module is what runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .analyzer import AnalysisMode, TraceStep, analyze, analyze_traced
+from .analyzer import AnalysisMode, TraceStep, _walk, analyze, analyze_traced
 from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitAst, CircuitSyntaxError, GateKind,
                       ValidationError, parse_circuit)
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
@@ -312,8 +321,7 @@ def _split_pairs(coarse: Partition, fine: Partition) -> list[tuple[int, int]]:
 
 def _cmd_compare(args) -> None:
     circuit = _load(args.file)
-    with_levels = analyze(circuit, AnalysisMode.LEVELS)
-    without = analyze(circuit, AnalysisMode.NO_LEVELS)
+    with_levels, without = _walk(circuit, (AnalysisMode.LEVELS, AnalysisMode.NO_LEVELS))
     delta = _split_pairs(without.sep, with_levels.sep)
     print(f"qubits: {with_levels.n}")
     writer = _StateWriter(_block_text)
@@ -364,26 +372,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only code that writes to stderr."""
-    args = build_parser().parse_args(argv)
-    code = EXIT_OK
+    """Run one command; the only code that writes to stderr. The cyclic
+    garbage collector is off while it runs, and is switched back on at the
+    end only if it was on at entry."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        code = EXIT_OK
         try:
-            args.func(args)
-        except _Refusal as refusal:
-            code, message = refusal.args
-        except MemoryError:  # the oracle's own are refused by _cmd_analyze
-            code, message = EXIT_VALIDATION, f"{args.file}: not enough memory"
-        if code != EXIT_OK:  # printed here, once the failed command's frames are freed
-            print(f"error: {message}", file=sys.stderr)
-        sys.stdout.flush()  # so that a closed reader raises here, not at exit
-    except OSError as err:  # _load refuses its own read errors
-        if not isinstance(err, BrokenPipeError):
-            print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
-        # the signal module docs' recipe: what is left goes to devnull at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+            try:
+                args.func(args)
+            except _Refusal as refusal:
+                code, message = refusal.args
+            except MemoryError:  # the oracle's own are refused by _cmd_analyze
+                code, message = EXIT_VALIDATION, f"{args.file}: not enough memory"
+            if code != EXIT_OK:  # printed here, once the failed command's frames are freed
+                print(f"error: {message}", file=sys.stderr)
+            sys.stdout.flush()  # so that a closed reader raises here, not at exit
+        except OSError as err:  # _load refuses its own read errors
+            if not isinstance(err, BrokenPipeError):
+                print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
+            # the signal module docs' recipe: what is left goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

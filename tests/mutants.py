@@ -3,8 +3,8 @@
     python tests/mutants.py [NUMBER ...]
 
 MUTANTS lists single edits (file, old, new, expected) of the rules and the
-analysis loop in `analyzer` and the partition operations in `domain` they
-call. For each
+analysis loop (with its loop over modes) in `analyzer` and the partition
+operations in `domain` they call. For each
 mutant (or only those NUMBERs, counted from 1), the checkout is copied to
 a temporary directory, `old` is replaced by `new` there (the checkout
 itself is never edited), and the tier-1 suite runs in the copy with -x.
@@ -86,6 +86,9 @@ MUTANTS = [
     # domain._join: report a join within one block as a change
     (DOMAIN, "        return False\n    block = bi | members[j]",
      "        return True\n    block = bi | members[j]", "killed"),
+    # _walk: apply each rule to the first mode's working state only
+    (ANALYZER, "for labels, sep, lvl, mode in work:", "for labels, sep, lvl, mode in work[:1]:",
+     "killed"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

@@ -12,7 +12,7 @@ import pytest
 
 import qent.analyzer
 import qent.circuit
-from qent.analyzer import AnalysisMode, analyze, analyze_traced, apply_cx_at, apply_gate
+from qent.analyzer import AnalysisMode, _walk, analyze, analyze_traced, apply_cx_at, apply_gate
 from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from helpers import (
@@ -524,6 +524,25 @@ class TestTrace:
             final, steps = analyze_traced(c, mode)
             assert state_row(final) == state_row(steps[-1].state)
             assert state_row(final) == state_row(analyze(c, mode))
+
+
+class TestOneWalk:
+    """`_walk` over several modes keeps one working state per mode in one
+    pass over the gates: each mode ends where its own analysis does."""
+
+    MODES = [*itertools.product(AnalysisMode, repeat=2), tuple(AnalysisMode)]
+
+    def test_equal_to_one_analysis_per_mode(self):
+        rng = random.Random(83)
+        for _ in range(500):
+            circuit = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 10))
+            alone = {mode: state_row(analyze(circuit, mode)) for mode in AnalysisMode}
+            for modes in self.MODES:
+                states = _walk(circuit, modes)
+                assert [state_row(st) for st in states] == [alone[mode] for mode in modes]
+                assert len({id(st) for st in states}) == len(modes)
+                for st in states:
+                    assert_blocks_shared(st)
 
 
 # H and CX-heavy, so that wide blocks form, split and move under SW

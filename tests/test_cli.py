@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import random
@@ -487,6 +488,18 @@ class TestCompare:
             assert code == 0
             assert out.splitlines()[-1] == "more precise on: " + (" ".join(delta) or "(none)")
 
+    def test_walks_the_tree_once(self, qc, capsys, monkeypatch):
+        iter_gates, calls = qent.analyzer.iter_gates, []
+
+        def counted(circuit):
+            calls.append(circuit)
+            return iter_gates(circuit)
+
+        monkeypatch.setattr(qent.analyzer, "iter_gates", counted)
+        code, out, _ = run(capsys, ["compare", qc("H ** I oo CX oo CX")])
+        assert code == 0 and out.endswith("more precise on: (0,1)\n")
+        assert len(calls) == 1
+
     def test_propagates_parse_errors(self, qc, capsys):
         code, _, err = run(capsys, ["compare", qc("H ** ")])
         assert code == 1
@@ -619,7 +632,7 @@ class TestOutOfMemory:
              ["compare"]]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    @pytest.mark.parametrize("names", [["parse_circuit"], ["analyze", "analyze_traced"]],
+    @pytest.mark.parametrize("names", [["parse_circuit"], ["analyze", "analyze_traced", "_walk"]],
                              ids=["parse", "analysis"])
     def test_exits_2_with_one_line(self, qc, capsys, monkeypatch, argv, names):
         def out_of_memory(*args):
@@ -646,6 +659,82 @@ class TestOutOfMemory:
         monkeypatch.setattr(qent.cli._StateWriter, "text", second_runs_out)
         assert run(capsys, ["compare", path]) == (
             2, "".join(out.splitlines(keepends=True)[:2]), f"error: {path}: not enough memory\n")
+
+
+def cyclic_garbage(capsys, argv) -> int:
+    """Objects in reference cycles that main(argv) leaves behind: it runs
+    with the collector off, and gc.collect() counts what it frees after."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, argv)[0] == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """main runs each command with the cyclic collector off, and leaves it as
+    it was at entry on every way out."""
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["analyze"], "analyze"), (["analyze", "--trace"], "analyze_traced"),
+        (["analyze", "--check-oracle"], "analyze"), (["compare"], "_walk"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_off_while_a_command_runs(self, qc, capsys, monkeypatch, argv, entry):
+        seen, analysis = [], getattr(qent.cli, entry)
+
+        def recorded(*args):
+            seen.append(gc.isenabled())
+            return analysis(*args)
+
+        monkeypatch.setattr(qent.cli, entry, recorded)
+        assert gc.isenabled()
+        assert run(capsys, [argv[0], qc("H ** I oo CX"), *argv[1:]])[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    PITFALL = "H ** H ** I oo I ** CX oo CX ** I"
+
+    @pytest.mark.parametrize("text, extra, code", [
+        ("H ** I oo CX", [], 0),
+        ("H ** Q", [], 1),
+        (None, [], 1),
+        ("H oo CX", [], 2),
+        ("H ** I oo CX", ["--check-oracle", "--max-oracle-qubits", "1"], 2),
+        ("memory", [], 2),
+        (PITFALL, ["--mode", "unsafe-leveling", "--check-oracle"], 3),
+        ("H ** I oo CX", ["--mode", "bogus"], "usage"),
+    ], ids=["ok", "syntax", "unreadable", "height", "qubit-limit", "memory", "unsound", "usage"])
+    @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+    def test_restored_on_every_exit(self, qc, tmp_path, capsys, monkeypatch, text, extra, code,
+                                    on):
+        if text == "memory":
+            def out_of_memory(*args):
+                raise MemoryError
+
+            monkeypatch.setattr(qent.cli, "parse_circuit", out_of_memory)
+        path = str(tmp_path / "missing.qc") if text is None else qc(text)
+        (gc.enable if on else gc.disable)()
+        try:
+            if code == "usage":
+                with pytest.raises(SystemExit):
+                    main(["analyze", path, *extra])
+            else:
+                assert run(capsys, ["analyze", path, *extra])[0] == code
+            assert gc.isenabled() is on
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["analyze", "--trace"]],
+                             ids=" ".join)
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, qc, capsys, argv):
+        rng = random.Random(89)
+        small, large = (qc(unparse(random_circuit(rng, 4, columns)), f"c{columns}.qc")
+                        for columns in (1, 2000))
+        cyclic_garbage(capsys, [argv[0], small, *argv[1:]])  # first-call caches
+        assert (cyclic_garbage(capsys, [argv[0], small, *argv[1:]])
+                == cyclic_garbage(capsys, [argv[0], large, *argv[1:]]))
 
 
 # Runs `import qent, qent.cli`, then main() on each argv given as JSON, and

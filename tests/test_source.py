@@ -96,8 +96,8 @@ def test_one_error_path():
 
 
 def test_one_analysis_loop():
-    """`analyze` and `analyze_traced` share one loop: analyzer.py has one
-    `for` statement over `iter_gates(...)`."""
+    """`analyze`, `analyze_traced` and compare's two modes share one loop:
+    analyzer.py has one `for` statement over `iter_gates(...)`."""
     tree = ast.parse((SRC / "analyzer.py").read_text(encoding="utf-8"))
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
              and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Name)
