@@ -12,7 +12,8 @@ state's value changed:
   Like T, it reads no mode.
 * T turns d into top and leaves s and top alone.
 * CX acts on (wire, wire + 1) by the four cases documented at
-  `apply_cx_at`.
+  `apply_cx_at`. Cases 2 and 4 share one entangling branch, and the modes
+  differ only in that branch's level update.
 * SW exchanges the two wires across labels and both partitions.
 
 I, X, Y and Z preserve every basis, so they have no entry: they are
@@ -29,9 +30,9 @@ or its value ("no-levels"), and raise ValueError on anything else:
   it can entangle, marks a fresh diagonal-control/standard-target pair as
   leveled, and uses a tracked level to split the target back out when the
   same pair is CX'd again.
-* NO_LEVELS: never joins levels, so from `init_state` its level blocks
-  stay singletons (I1 below), CX case 3 never fires and entanglement
-  blocks only ever grow.
+* NO_LEVELS: the entangling branch leaves the levels alone, so from
+  `init_state` its level blocks stay singletons (I1 below), CX case 3
+  never fires and entanglement blocks only ever grow.
 * UNSAFE_LEVELING: deliberately flawed variant that marks qubits as
   leveled whenever the CX target is labeled s, regardless of the control
   label. Kept for demonstrating (via the oracle) how that rule lets the
@@ -41,22 +42,25 @@ Two invariants hold on every state reachable from `init_state` in a given
 mode:
 
 * I1 (NO_LEVELS): every level block is a singleton. Levels are joined only
-  by CX case 2, which skips the join in NO_LEVELS, and by case 4 in
-  UNSAFE_LEVELING.
+  by CX's entangling branch (cases 2 and 4), whose level update NO_LEVELS
+  leaves out.
 * I2 (every mode): a qubit labeled s or d is a singleton in both
   partitions. Only the start, H (no block changes) and CX case 3 (which
   splits its target from both) make s or d; every join labels both qubits
   top; SW moves labels with their blocks.
 
-Three places test nothing because of them, so a rule that breaks one
+Four places test nothing because of them, so a rule that breaks one
 breaks these too: CX case 3 tests `target in lvl[control]` in every mode
-(by I1 false in NO_LEVELS); CX case 4 reports a change only through the
-separability join (by I2 a label it turns top belonged to a singleton, so
+(by I1 false in NO_LEVELS); CX tests case 3 before case 2 (by I2 a fresh
+pair's wires are level singletons, so they share no level block); CX's
+entangling branch reports a change only through the separability join and
+the level update (by I2 a label it turns top belonged to a singleton, so
 the join changes); H on a top wire splits its level in every mode (by I1
 an O(1) no-op in NO_LEVELS). The rules assume the invariants of their
 mode: on a state that breaks them (which only a caller that builds its own
 `AbstractState` can pass to `apply_gate` or `apply_cx_at`), NO_LEVELS
-splits by CX case 3 and by H on a top wire as LEVELS does.
+splits by CX case 3 and by H on a top wire as LEVELS does, and CX takes
+case 3 for a d control and s target that share a level block.
 
 Cost per gate is O(1) for labels. A partition update that changes
 nothing (a join within a block, a split of a singleton, a swap of two
@@ -105,7 +109,7 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
                 mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
     """CX transfer function at arbitrary wire indices, mutating st.
 
-    Cases are tried in order:
+    The paper's cases, each applying when the ones before it do not:
       1. control s, or target d: the gate preserves every basis, nothing
          changes.
       2. control d and target s: the pair becomes a Bell pair; join both
@@ -119,8 +123,13 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
          had with third qubits. In UNSAFE_LEVELING mode the pair is
          instead marked leveled whenever the target was labeled s.
 
-    st must satisfy the mode's invariants (see the module docstring), as
-    every state reached from init_state in that mode does.
+    The code tests case 1, then case 3, then cases 2 and 4 as one
+    entangling branch: both wires become top, their entanglement blocks
+    join, and only the level update reads the mode. The order gives the
+    paper's results because by invariant I2 a d or s wire is alone in the
+    level partition, so a case-2 pair never shares a level block. st must
+    satisfy the mode's invariants (see the module docstring), as every
+    state reached from init_state in that mode does.
     """
     mode = AnalysisMode(mode)
     n = st.n
@@ -138,12 +147,6 @@ def _cx_at(b: list[BasisLabel], sep: list, lvl: list, control: int, target: int,
     bc, bt = b[control], b[target]
     if bc is _S or bt is _D:
         return False
-    if bc is _D and bt is _S:
-        b[control] = b[target] = _TOP
-        _join(sep, control, target)
-        if mode is not AnalysisMode.NO_LEVELS:
-            _join(lvl, control, target)
-        return True
     if target in lvl[control]:
         # a shared level block holds both, so the level split always changes
         b[target] = _S
@@ -153,7 +156,8 @@ def _cx_at(b: list[BasisLabel], sep: list, lvl: list, control: int, target: int,
     b[control] = b[target] = _TOP
     changed = _join(sep, control, target)
     if mode is AnalysisMode.LEVELS:
-        changed = _split(lvl, target) or changed
+        changed = (_join(lvl, control, target) if bc is _D and bt is _S
+                   else _split(lvl, target)) or changed
     elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:
         changed = _join(lvl, control, target) or changed
     return changed
@@ -203,12 +207,6 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
     return st
 
 
-def _start(circuit: CircuitAst) -> tuple[list[BasisLabel], list, list]:
-    """The all-|0> state's labels and its two partitions as member lists."""
-    st = init_state(validate(circuit))
-    return st.labels, list(st.sep.members), list(st.lvl.members)
-
-
 def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
     """A state of its own made from the working labels and member lists."""
     return AbstractState(list(labels), Partition(tuple(sep)), Partition(tuple(lvl)))
@@ -221,7 +219,8 @@ def _walk(circuit: CircuitAst, modes: tuple[AnalysisMode, ...],
     the gates. Returns a snapshot of each end state, in the order of modes.
     Given a steps list, and then exactly one mode, it also appends one
     TraceStep per gate."""
-    work = [(*_start(circuit), AnalysisMode(mode)) for mode in modes]
+    st = init_state(validate(circuit))
+    work = [([*st.labels], [*st.sep.members], [*st.lvl.members], AnalysisMode(m)) for m in modes]
     if steps is not None:
         (labels, sep, lvl, _), = work
         snap = _snapshot(labels, sep, lvl)

@@ -45,6 +45,7 @@ those globals, so a replacement set on the module is what runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -379,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        if sys.stdout is None:  # started with fd 1 closed, as by `>&-`
+            print(f"error: cannot write output: {os.strerror(errno.EBADF)}", file=sys.stderr)
+            return 1
         code = EXIT_OK
         try:
             try:
@@ -394,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(err, BrokenPipeError):
                 print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
             # the signal module docs' recipe: what is left goes to devnull at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
             return 1
         return code
     finally:

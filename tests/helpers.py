@@ -126,6 +126,29 @@ def validate_partition(p):
     assert Partition.from_blocks(p.blocks(), len(p.members)).members == p.members
 
 
+def reference_cx(labels, sep, lvl, control, target, mode):
+    """CX on any two distinct wires by apply_cx_at's four cases, tried in the
+    paper's order, over label strings ("s", "d", "top") and NaivePartition:
+    relabels labels in place and returns the new (sep, lvl). A reference that
+    shares no code with the analyzer's CX rule."""
+    bc, bt = labels[control], labels[target]
+    if bc == "s" or bt == "d":
+        return sep, lvl
+    levels = mode is not AnalysisMode.NO_LEVELS
+    if bc == "d" and bt == "s":
+        labels[control] = labels[target] = "top"
+        return sep.join(control, target), lvl.join(control, target) if levels else lvl
+    if levels and lvl.same_block(control, target):
+        labels[target] = "s"
+        return sep.split(target), lvl.split(target)
+    labels[control] = labels[target] = "top"
+    if mode is AnalysisMode.LEVELS:
+        lvl = lvl.split(target)
+    elif mode is AnalysisMode.UNSAFE_LEVELING and bt == "s":
+        lvl = lvl.join(control, target)
+    return sep.join(control, target), lvl
+
+
 def reference_rows(circuit, mode):
     """The row (labels, separability blocks, level blocks) after each gate of
     circuit, by the transfer rules the analyzer's module docstring and
@@ -155,25 +178,7 @@ def reference_rows(circuit, mode):
             labels[q], labels[q + 1] = labels[q + 1], labels[q]
             sep, lvl = sep.swapped(q, q + 1), lvl.swapped(q, q + 1)
         elif kind is GateKind.CX:
-            c, t = q, q + 1
-            bc, bt = labels[c], labels[t]
-            if bc == "s" or bt == "d":
-                pass
-            elif bc == "d" and bt == "s":
-                labels[c] = labels[t] = "top"
-                sep = sep.join(c, t)
-                if levels:
-                    lvl = lvl.join(c, t)
-            elif levels and lvl.same_block(c, t):
-                labels[t] = "s"
-                sep, lvl = sep.split(t), lvl.split(t)
-            else:
-                labels[c] = labels[t] = "top"
-                sep = sep.join(c, t)
-                if mode is AnalysisMode.LEVELS:
-                    lvl = lvl.split(t)
-                elif mode is AnalysisMode.UNSAFE_LEVELING and bt == "s":
-                    lvl = lvl.join(c, t)
+            sep, lvl = reference_cx(labels, sep, lvl, q, q + 1, mode)
         if (labels, sep.blocks, lvl.blocks) != old:
             row = (list(labels), sep.as_sorted_blocks(), lvl.as_sorted_blocks())
         rows.append(row)

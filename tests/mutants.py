@@ -36,13 +36,12 @@ MUTANTS = [
     # _cx_at, case 1
     (ANALYZER, "if bc is _S or bt is _D:", "if bc is _S:", "killed"),
     (ANALYZER, "if bc is _S or bt is _D:", "if bt is _D:", "killed"),
-    # _cx_at, case 2
-    (ANALYZER, "        _join(sep, control, target)\n        if mode",
-     "        if mode", "killed"),
-    (ANALYZER, "        if mode is not AnalysisMode.NO_LEVELS:\n            _join(lvl",
-     "        if True:\n            _join(lvl", "killed"),
-    (ANALYZER, "            _join(lvl, control, target)\n        return True",
-     "            pass\n        return True", "killed"),
+    # _cx_at, entangling branch: leave a fresh pair unleveled; level any s
+    # target in LEVELS; give NO_LEVELS the LEVELS update
+    (ANALYZER, "(_join(lvl, control, target) if", "(False if", "killed"),
+    (ANALYZER, "bc is _D and bt is _S", "bt is _S", "killed"),
+    (ANALYZER, "if mode is AnalysisMode.LEVELS:", "if mode is not AnalysisMode.UNSAFE_LEVELING:",
+     "killed"),
     # _cx_at, case 3
     (ANALYZER, "if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:",
      "if target in lvl[control]:",
@@ -52,14 +51,15 @@ MUTANTS = [
     (ANALYZER, "        _split(sep, target)\n        _split(lvl, target)\n",
      "        _split(sep, target)\n", "killed"),
     (ANALYZER, "b[target] = _S", "b[target] = _TOP", "killed"),
-    # _cx_at, case 4
+    # _cx_at, entangling branch
     (ANALYZER, "changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP",
      "changed = _join(sep, control, target)",
      "equivalent: by I2 a label case 4 turns top was a singleton's, so the join changes"),
     (ANALYZER, "    changed = _join(sep, control, target)", "    changed = False", "killed"),
-    (ANALYZER, "changed = _split(lvl, target) or changed", "changed = changed", "killed"),
-    (ANALYZER, "changed = _split(lvl, target) or changed",
-     "changed = _split(lvl, control) or changed", "killed"),
+    # ... in LEVELS: drop the target's de-level; de-level the control instead
+    (ANALYZER, "else _split(lvl, target))", "else False)", "killed"),
+    (ANALYZER, "else _split(lvl, target))", "else _split(lvl, control))", "killed"),
+    # ... in UNSAFE_LEVELING: level a top target too
     (ANALYZER, "elif mode is AnalysisMode.UNSAFE_LEVELING and bt is _S:",
      "elif mode is AnalysisMode.UNSAFE_LEVELING:", "killed"),
     # _h: keep the level on H of top; leave d alone
@@ -89,6 +89,10 @@ MUTANTS = [
     # _walk: apply each rule to the first mode's working state only
     (ANALYZER, "for labels, sep, lvl, mode in work:", "for labels, sep, lvl, mode in work[:1]:",
      "killed"),
+    # _cx_at: test the paper's case 2 before case 3, as the paper orders them
+    (ANALYZER, "if target in lvl[control]:",
+     "if target in lvl[control] and not (bc is _D and bt is _S):",
+     "equivalent: by I2 a fresh pair shares no level block"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

@@ -19,12 +19,14 @@ from helpers import (
     ALL_KINDS,
     PITFALL_LEVELS_ROWS,
     PITFALL_UNSAFE_ROWS,
+    NaivePartition,
     forbid,
     holds_invariants,
     invariant_states,
     pad_at,
     pad_pair,
     random_circuit,
+    reference_cx,
     reference_rows,
     run_pitfall_trace,
     state_row,
@@ -150,6 +152,28 @@ class TestCxCases:
         assert st.labels == [TOP, TOP, TOP]
         assert st.sep.blocks() == [[0, 1, 2]]
         assert st.lvl.blocks() == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("n, applications", [(3, 930), (4, 11_748)],
+                             ids=["3-wires", "4-wires"])
+    def test_equals_the_papers_cases_on_every_invariant_state(self, n, applications):
+        """apply_cx_at, which tests case 3 before case 2, gives what
+        helpers.reference_cx gives by trying the paper's four cases in order,
+        from every state on n wires that satisfies a mode's invariants and
+        for every ordered pair of wires, upward and non-adjacent ones too."""
+        count = 0
+        for mode in AnalysisMode:
+            for labels, sep, lvl in invariant_states(n, mode):
+                for control, target in itertools.permutations(range(n), 2):
+                    st = AbstractState(list(labels), Partition(sep), Partition(lvl))
+                    apply_cx_at(st, control, target, mode)
+                    names = [label.value for label in labels]
+                    ref_sep, ref_lvl = reference_cx(names, NaivePartition(sep),
+                                                    NaivePartition(lvl), control, target, mode)
+                    assert state_row(st) == (names, ref_sep.as_sorted_blocks(),
+                                             ref_lvl.as_sorted_blocks()), \
+                        (mode.value, control, target, labels, sep, lvl)
+                    count += 1
+        assert count == applications
 
     def test_rejects_equal_or_bad_indices(self):
         st = init_state(3)
@@ -328,33 +352,34 @@ class TestParallelOrderIrrelevance:
 
 def separability_work(monkeypatch):
     """A function that runs analyze(circuit, mode) and returns how many joins
-    and how many splits changed the separability member list, the one that
-    analyzer._start returns: analyzer._join and _split are wrapped."""
-    seps, counts = [], {"_join": 0, "_split": 0}
-    start = qent.analyzer._start
+    and how many splits changed the separability member list, the `sep` that
+    the final analyzer._snapshot call receives: analyzer._join and _split
+    record each call with its list, and _snapshot the lists it receives."""
+    calls, seps = [], []
+    snapshot = qent.analyzer._snapshot
 
-    def started(circuit):
-        labels, sep, lvl = start(circuit)
+    def snapped(labels, sep, lvl):
         seps.append(sep)
-        return labels, sep, lvl
+        return snapshot(labels, sep, lvl)
 
-    def counting(name):
+    def recording(name):
         op = getattr(qent.analyzer, name)
 
-        def counted(members, *qubits):
+        def recorded(members, *qubits):
             changed = op(members, *qubits)
-            counts[name] += changed and members is seps[-1]
+            calls.append((name, members, changed))
             return changed
-        return counted
+        return recorded
 
-    monkeypatch.setattr(qent.analyzer, "_start", started)
-    for name in counts:
-        monkeypatch.setattr(qent.analyzer, name, counting(name))
+    monkeypatch.setattr(qent.analyzer, "_snapshot", snapped)
+    for name in ("_join", "_split"):
+        monkeypatch.setattr(qent.analyzer, name, recording(name))
 
     def work(circuit, mode):
-        counts.update(dict.fromkeys(counts, 0))
+        calls.clear()
         analyze(circuit, mode)
-        return counts["_join"], counts["_split"]
+        return tuple(sum(changed and members is seps[-1] for op, members, changed in calls
+                         if op == name) for name in ("_join", "_split"))
     return work
 
 

@@ -42,6 +42,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+# the commands that TestAnalyze.test_stdout_cannot_be_written runs, by test id
+_WRITERS = {"text": ["analyze"], "json-trace": ["analyze", "--trace", "--format", "json"],
+            "compare": ["compare"]}
+
+
 class TestAnalyze:
     def test_bell_text(self, qc, capsys):
         code, out, err = run(capsys, ["analyze", qc("H ** I oo CX")])
@@ -307,20 +313,62 @@ class TestAnalyze:
             proc.stderr.close()
         assert err == b""
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("extra", [["analyze"], ["analyze", "--trace", "--format", "json"],
-                                       ["compare"]], ids=["text", "json-trace", "compare"])
-    def test_stdout_cannot_be_written(self, qc, extra):
-        """As `qent analyze FILE > /dev/full`: every write fails with ENOSPC,
-        which is reported in one line, with no traceback."""
+    @pytest.mark.parametrize("target, extra", [
+        *(pytest.param("/dev/full", extra, id=name, marks=_NEEDS_DEV_FULL)
+          for name, extra in _WRITERS.items()),
+        *(pytest.param(None, extra, id="closed-" + name) for name, extra in _WRITERS.items()),
+    ])
+    def test_stdout_cannot_be_written(self, qc, target, extra):
+        """As `qent analyze FILE > /dev/full`, where every write fails with
+        ENOSPC, and as `qent analyze FILE >&-`, where there is no stdout
+        (EBADF): reported in one line, with no traceback."""
         path = qc("H ** I oo CX")
         src = str(Path(qent.__file__).resolve().parent.parent)
-        with open("/dev/full", "wb") as full:
-            done = subprocess.run([sys.executable, "-m", "qent.cli", extra[0], path, *extra[1:]],
-                                  env={**os.environ, "PYTHONPATH": src}, stdout=full,
+        command = [sys.executable, "-m", "qent.cli", extra[0], path, *extra[1:]]
+        env = {**os.environ, "PYTHONPATH": src}
+        if target is None:
+            done = subprocess.run(command, env=env, preexec_fn=lambda: os.close(1),
                                   stderr=subprocess.PIPE, timeout=60)
+            reason = errno.EBADF
+        else:
+            with open(target, "wb") as full:
+                done = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE,
+                                      timeout=60)
+            reason = errno.ENOSPC
         assert done.returncode == 1
-        assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        assert done.stderr == f"error: cannot write output: {os.strerror(reason)}\n".encode()
+
+    @_NEEDS_DEV_FULL
+    def test_unwritable_stdout_leaks_no_descriptor(self, qc, capsys, monkeypatch):
+        """In-process, with stdout a pipe whose reader is closed and then
+        /dev/full: each call returns 1, and main keeps no descriptor open, so
+        the lowest free one, which os.open returns, is the same after."""
+        path = qc("H ** I oo CX")
+
+        def broken_pipe():
+            reader, writer = os.pipe()
+            os.close(reader)
+            return open(writer, "w", encoding="utf-8")
+
+        def lowest_free():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        targets = [broken_pipe() for _ in range(5)]
+        targets += [open("/dev/full", "w", encoding="utf-8") for _ in range(5)]
+        try:
+            before = lowest_free()
+            for out in targets:
+                with monkeypatch.context() as patch:
+                    patch.setattr(sys, "stdout", out)
+                    assert main(["analyze", path]) == 1
+            assert lowest_free() == before
+        finally:
+            for out in targets:
+                out.close()
+        assert capsys.readouterr().err == \
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n" * 5
 
 
 def state_text(state, sep):
@@ -705,7 +753,9 @@ class TestCollectorPause:
         ("memory", [], 2),
         (PITFALL, ["--mode", "unsafe-leveling", "--check-oracle"], 3),
         ("H ** I oo CX", ["--mode", "bogus"], "usage"),
-    ], ids=["ok", "syntax", "unreadable", "height", "qubit-limit", "memory", "unsound", "usage"])
+        ("no stdout", [], 1),
+    ], ids=["ok", "syntax", "unreadable", "height", "qubit-limit", "memory", "unsound", "usage",
+            "no-stdout"])
     @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
     def test_restored_on_every_exit(self, qc, tmp_path, capsys, monkeypatch, text, extra, code,
                                     on):
@@ -714,6 +764,8 @@ class TestCollectorPause:
                 raise MemoryError
 
             monkeypatch.setattr(qent.cli, "parse_circuit", out_of_memory)
+        if text == "no stdout":  # as when started with fd 1 closed
+            monkeypatch.setattr(sys, "stdout", None)
         path = str(tmp_path / "missing.qc") if text is None else qc(text)
         (gc.enable if on else gc.disable)()
         try:
