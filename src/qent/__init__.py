@@ -16,11 +16,13 @@ from .circuit import (
     CircuitSyntaxError,
     Gate,
     GateKind,
+    Program,
     Seq,
     Tensor,
     ValidationError,
     iter_gates,
     parse_circuit,
+    parse_program,
     unparse,
     validate,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "Gate",
     "GateKind",
     "Partition",
+    "Program",
     "Seq",
     "SoundnessReport",
     "Tensor",
@@ -64,6 +67,7 @@ __all__ = [
     "iter_gates",
     "levels_oracle",
     "parse_circuit",
+    "parse_program",
     "simulate",
     "unparse",
     "validate",

@@ -1,11 +1,12 @@
 """Abstract interpreter: gate rules over the label/partition domain.
 
-One analysis pass visits the gates in `iter_gates` order and applies each
-gate's transfer function. The transfer functions live in one table,
-`_RULES`, mapping a GateKind to a rule `rule(labels, sep, lvl, wire,
-mode)` that updates the labels and the two partitions' member lists (see
-`domain`) in place at the gate's base wire, and returns whether the
-state's value changed:
+One analysis pass visits the gates in `iter_gates` order, a Program's
+`(kind, wire)` pairs as they stand or a tree's streamed one at a time from
+the walk behind `iter_gates`, and applies each gate's transfer function.
+The transfer functions live in one table, `_RULES`, mapping a GateKind to a
+rule `rule(labels, sep, lvl, wire, mode)` that updates the labels and the
+two partitions' member lists (see `domain`) in place at the gate's base
+wire, and returns whether the state's value changed:
 
 * H swaps the labels s and d; on a top wire it drops the wire's level
   (the superposition breaks any correlation it had with third qubits).
@@ -68,7 +69,7 @@ singletons or within a block) is O(1); one that changes blocks re-points
 only the members of the blocks it changes, O(|Bi| + |Bj|). `analyze`
 builds the two `Partition` values once, at the end, so a full analysis is
 O(n) plus the sizes of the blocks changed by its m gates, at most
-O(n * m), per mode; the pass over the tree is paid once for all modes. A
+O(n * m), per mode; the pass over the gates is paid once for all modes. A
 trace takes a snapshot, O(n), only after a gate whose rule reports a
 change; a step that changes nothing costs O(1) and compares no states.
 """
@@ -78,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import CircuitAst, GateKind, iter_gates, validate
+from .circuit import CircuitAst, GateKind, Program, _leaves, validate
 from .domain import AbstractState, BasisLabel, Partition, _join, _split, _swap_adjacent, init_state
 
 _S = BasisLabel.S
@@ -212,21 +213,26 @@ def _snapshot(labels: list[BasisLabel], sep: list, lvl: list) -> AbstractState:
     return AbstractState(list(labels), Partition(tuple(sep)), Partition(tuple(lvl)))
 
 
-def _walk(circuit: CircuitAst, modes: tuple[AnalysisMode, ...],
+def _walk(circuit: CircuitAst | Program, modes: tuple[AnalysisMode, ...],
           steps: list[TraceStep] | None = None) -> list[AbstractState]:
     """The one analysis loop, from the all-|0> state: one working state per
     mode, and each gate's rule applied to every one of them in one pass over
-    the gates. Returns a snapshot of each end state, in the order of modes.
+    the gates, a Program's (kind, wire) pairs or a tree's streamed from the
+    walk behind iter_gates, which yields kinds here. Returns a snapshot of each end state, in the order of modes.
     Given a steps list, and then exactly one mode, it also appends one
     TraceStep per gate."""
-    st = init_state(validate(circuit))
+    if isinstance(circuit, Program):
+        n, gates = circuit.n, zip(circuit.kinds, circuit.wires)
+    else:
+        n, gates = validate(circuit), _leaves(circuit, True)
+    st = init_state(n)
     work = [([*st.labels], [*st.sep.members], [*st.lvl.members], AnalysisMode(m)) for m in modes]
     if steps is not None:
         (labels, sep, lvl, _), = work
         snap = _snapshot(labels, sep, lvl)
     rules = _RULES.get
-    for gate, index in iter_gates(circuit):
-        rule = rules(gate.kind)
+    for kind, index in gates:
+        rule = rules(kind)
         if rule is None:
             changed = False
         else:
@@ -235,16 +241,17 @@ def _walk(circuit: CircuitAst, modes: tuple[AnalysisMode, ...],
         if steps is not None:
             if changed:
                 snap = _snapshot(labels, sep, lvl)
-            steps.append(TraceStep(gate.kind, index, snap))
+            steps.append(TraceStep(kind, index, snap))
     return [_snapshot(labels, sep, lvl) for labels, sep, lvl, _ in work]
 
 
-def analyze(circuit: CircuitAst, mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
-    """Run the analysis over a circuit from the all-|0> state."""
+def analyze(circuit: CircuitAst | Program,
+            mode: AnalysisMode = AnalysisMode.LEVELS) -> AbstractState:
+    """Run the analysis over a circuit, a tree or a Program, from the all-|0> state."""
     return _walk(circuit, (mode,))[0]
 
 
-def analyze_traced(circuit: CircuitAst,
+def analyze_traced(circuit: CircuitAst | Program,
                    mode: AnalysisMode = AnalysisMode.LEVELS,
                    ) -> tuple[AbstractState, list[TraceStep]]:
     """Like analyze(), also returning one TraceStep per gate.

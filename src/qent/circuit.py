@@ -1,4 +1,4 @@
-"""Circuit language: syntax tree, parser, and heights.
+"""Circuit language: syntax tree, flat gate program, parser, and heights.
 
 A circuit is an expression over the gate alphabet I, X, Y, Z, H, T, SW, CX
 and two infix operators:
@@ -32,6 +32,14 @@ reading it is O(1). A tree's value is its canonical text: `==`, `hash()` and
 `repr()` read `unparse(c)`, and pickling and `copy` rebuild a tree with
 `parse_circuit(unparse(c))`. These, `iter_gates` and the parser walk a tree
 with an explicit stack or loop, so none has a depth limit.
+
+A Program is the flat form of a circuit: its height n and its gates in
+`iter_gates` order, as a tuple of kinds and a tuple of base wires.
+parse_program reads text into one with the parser's loop and builds no
+node, so it accepts the same texts as parse_circuit and raises the same
+errors at the same places; parse_circuit builds the tree and lists no gate.
+The analysis takes either form; the command line parses a Program, and a
+tree only for the exact oracle, which simulates trees.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class _Symbol(Enum):
@@ -150,6 +158,20 @@ SW = Gate(GateKind.SW)
 CX = Gate(GateKind.CX)
 
 GATES = {g.kind.value: g for g in (I, X, Y, Z, H, T, SW, CX)}
+_ATOMS = {name: (g, g.kind, g.height) for name, g in GATES.items()}  # the parser's gate tokens
+
+
+class Program(NamedTuple):
+    """A circuit as a flat gate program: its n wires, and its gates in
+    analysis order (iter_gates order) as two tuples of equal length, each
+    gate's kind and base wire. parse_program makes one from text; analyze
+    and analyze_traced take it in place of a tree and trust it, so build
+    one by hand only with in-range wires."""
+
+    n: int
+    kinds: tuple[GateKind, ...]
+    wires: tuple[int, ...]
+
 
 # The widest circuit the exact oracle simulates unless given another limit
 # (qent.oracle.simulate's max_qubits, the CLI's --max-oracle-qubits). It is
@@ -233,6 +255,23 @@ def parse_circuit(text: str) -> CircuitAst:
     mismatch in the order the parser meets them, where a mismatch is met
     once its right operand is complete. So `H oo CX oo` is a mismatch at
     1:3, not an unexpected end of input.
+    """
+    return _parse(text, True)
+
+
+def parse_program(text: str) -> Program:
+    """Parse circuit text into a flat Program, building no tree.
+
+    The same loop as parse_circuit, so it accepts the same texts and raises
+    the same errors, and parse_program(text) equals
+    Program(tree.height, kinds, wires) for the (gate.kind, wire) pairs of
+    iter_gates(tree), tree = parse_circuit(text).
+    """
+    return _parse(text, False)
+
+
+def _parse(text: str, tree: bool) -> CircuitAst | Program:
+    """The one parser loop: a syntax tree when tree is true, else a Program.
 
     The tokens are the chunks of one str.split() (_tokens). A text with an
     unknown chunk is tokenized again with the regex _TOKEN, which names the
@@ -240,9 +279,16 @@ def parse_circuit(text: str) -> CircuitAst:
 
     The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
     atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
-    an explicit stack holding, per open "(", the enclosing sequence and
-    tensor built so far and the enclosing level's last `oo`, so nesting
-    depth is unbounded.
+    an explicit stack holding, per open "(", the enclosing level's state, so
+    nesting depth is unbounded. A level's state is its base wire, the height
+    of its sequence so far (0 before its first tensor), the height of its
+    open tensor so far, its last `oo`, and in tree mode the sequence and
+    tensor built so far. Heights are integers in both modes, so a mismatch
+    is found, and placed at its `oo`, before any Seq is built. A gate's base
+    wire is its level's base plus the open tensor's height, known as its
+    token is read; gates are met in the order iter_gates yields them, so the
+    program mode appends each gate as it reads it and builds no node, and
+    the tree mode appends nothing.
     """
     tokens = _tokens(text)
     if not _KNOWN.issuperset(tokens):
@@ -263,40 +309,55 @@ def parse_circuit(text: str) -> CircuitAst:
         found = f", found {tok!r}" if tok else " (unexpected end of input)"
         return CircuitSyntaxError(message + found, *_position(text, k))
 
-    frames: list[tuple[CircuitAst | None, CircuitAst | None, int, int]] = []
+    kinds: list[GateKind] = []
+    wires: list[int] = []
+    add_kind, add_wire = kinds.append, wires.append
+    frames: list[tuple] = []
     seq = tensor = None
+    base = height = width = 0
     oo = -1  # token index of the last `oo` at this nesting level
     k = -1
     while True:
         k += 1
         tok = tokens[k]
         if tok == "(":
-            frames.append((seq, tensor, oo, k))
+            frames.append((seq, tensor, base, height, width, oo, k))
             seq = tensor = None
+            base += width
+            height = width = 0
             continue
-        if tok not in GATES:
+        atom = _ATOMS.get(tok)
+        if atom is None:
             raise error("expected gate or '('", k)
-        node = GATES[tok]
-        while True:  # fold the finished atom `node` into the open tensor and sequence
-            tensor = node if tensor is None else Tensor(tensor, node)
+        node, kind, h = atom
+        while True:  # fold the finished atom `node`, of height h, into the open tensor and sequence
+            if tree:
+                tensor = node if tensor is None else Tensor(tensor, node)
+            elif kind is not None:  # a gate, not a closed parenthesis
+                add_kind(kind)
+                add_wire(base + width)
+            width += h
             k += 1
             tok = tokens[k]
             if tok == "**":
                 break
-            try:
+            if not height:
+                height = width
+            elif height != width:
+                raise ValidationError(height, width, *_position(text, oo))
+            if tree:
                 seq = tensor if seq is None else Seq(seq, tensor)
-            except ValidationError as err:
-                line, column = _position(text, oo)
-                raise ValidationError(err.left_height, err.right_height, line, column) from None
-            tensor = None
+                tensor = None
+            width = 0
             if tok == "oo":
                 oo = k
                 break
             if not frames:
                 if tok:
                     raise error("expected operator or end of input", k)
-                return seq
-            node, (seq, tensor, oo, opening) = seq, frames.pop()
+                return seq if tree else Program(height, tuple(kinds), tuple(wires))
+            node, kind, h = seq, None, height
+            seq, tensor, base, height, width, oo, opening = frames.pop()
             if tok != ")":
                 line, column = _position(text, opening)
                 raise error(f"unbalanced parenthesis opened at {line}:{column}", k)
@@ -316,6 +377,11 @@ def iter_gates(circuit: CircuitAst) -> Iterator[tuple[Gate, int]]:
     right child of every node it passes with that child's base; no left
     child is ever pushed. Iterative, so arbitrarily deep trees are fine.
     """
+    return _leaves(circuit, False)
+
+
+def _leaves(circuit: CircuitAst, kinds: bool) -> Iterator[tuple[Gate | GateKind, int]]:
+    """iter_gates's walk; with kinds true it yields each gate's kind, not the gate."""
     stack: list[tuple[CircuitAst, int]] = [(circuit, 0)]
     while stack:
         node, q = stack.pop()
@@ -325,7 +391,7 @@ def iter_gates(circuit: CircuitAst) -> Iterator[tuple[Gate, int]]:
             stack.append((node.right, q) if t is Seq else (node.right, q + left.height))
             node = left
             t = type(node)
-        yield node, q
+        yield (node.kind if kinds else node), q
 
 
 _PREC = {Seq: 1, Tensor: 2}

@@ -28,10 +28,16 @@ levels block by grouping each no-levels block's members by their levels
 block, so it costs O(n) plus the pairs it prints (and their sort), not the
 square of a block's size.
 
+`analyze` and `compare` parse the file into a flat `Program` and build no
+syntax tree; only --check-oracle parses a tree, because `simulate` takes
+one, and analyzes that tree.
+
 `main` pauses Python's cyclic garbage collector while a command runs and
-turns it back on only if it was on at entry. The syntax tree has tens of
-thousands of nodes and no reference cycles; a collection while it is built
-would re-scan it and free nothing. The cyclic objects a command leaves
+turns it back on only if it was on at entry. A `Program` is two tuples of
+gate kinds and ints and sets off next to no collection, but a trace builds
+a step per gate and a snapshot per change, and --check-oracle a syntax
+tree, none of them in a reference cycle; a collection while they are built
+would re-scan them and free nothing. The cyclic objects a command leaves
 (argparse's parser graph) do not grow with its input. The library
 functions never touch the collector.
 
@@ -54,8 +60,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .analyzer import AnalysisMode, TraceStep, _walk, analyze, analyze_traced
-from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitAst, CircuitSyntaxError, GateKind,
-                      ValidationError, parse_circuit)
+from .circuit import (DEFAULT_QUBIT_LIMIT, CircuitAst, CircuitSyntaxError, GateKind, Program,
+                      ValidationError, parse_circuit, parse_program)
 from .circuit import validate  # noqa: F401  (unused; bench/tracing.py wraps cli.validate)
 from .domain import AbstractState, BasisLabel, Partition
 
@@ -237,8 +243,9 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(path: str) -> CircuitAst:
-    """The file's circuit, or a _Refusal naming what is wrong with it."""
+def _load(path: str, tree: bool = False) -> CircuitAst | Program:
+    """The file's circuit, a syntax tree when tree is true and else a
+    Program, or a _Refusal naming what is wrong with it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -255,7 +262,7 @@ def _load(path: str) -> CircuitAst:
         raise _Refusal(EXIT_PARSE, f"{path}:{line}:{column}: not UTF-8: {err.reason} "
                                    f"(byte 0x{data[err.start]:02x})")
     try:
-        return parse_circuit(text)
+        return parse_circuit(text) if tree else parse_program(text)
     except CircuitSyntaxError as err:
         raise _Refusal(EXIT_PARSE, f"{path}:{err}")
     except ValidationError as err:
@@ -268,7 +275,7 @@ def _no_memory(circuit: CircuitAst) -> _Refusal:
 
 
 def _cmd_analyze(args) -> None:
-    circuit = _load(args.file)
+    circuit = _load(args.file, tree=args.check_oracle)  # simulate takes a tree
     mode = AnalysisMode(args.mode)
 
     # the oracle's refusals come before the analysis, which they would waste

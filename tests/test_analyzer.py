@@ -13,7 +13,7 @@ import pytest
 import qent.analyzer
 import qent.circuit
 from qent.analyzer import AnalysisMode, _walk, analyze, analyze_traced, apply_cx_at, apply_gate
-from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit
+from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit, parse_program, unparse
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from helpers import (
     ALL_KINDS,
@@ -568,6 +568,49 @@ class TestOneWalk:
                 assert len({id(st) for st in states}) == len(modes)
                 for st in states:
                     assert_blocks_shared(st)
+
+
+    def test_a_program_walks_as_its_tree(self):
+        """A Program and its tree give the same end states in every mode
+        list, and the same trace step for step."""
+        rng = random.Random(84)
+        for _ in range(200):
+            circuit = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 10))
+            program = parse_program(unparse(circuit))
+            for modes in self.MODES:
+                assert ([state_row(st) for st in _walk(program, modes)]
+                        == [state_row(st) for st in _walk(circuit, modes)])
+            tree_end, tree_steps = analyze_traced(circuit)
+            end, steps = analyze_traced(program)
+            assert state_row(end) == state_row(tree_end)
+            assert ([(s.gate, s.index, state_row(s.state)) for s in steps]
+                    == [(s.gate, s.index, state_row(s.state)) for s in tree_steps])
+
+
+def shifted(blocks, offset):
+    return [[q + offset for q in block] for block in blocks]
+
+
+class TestCompositionLaw:
+    """Analyzing A ** B gives A's state beside B's: B's labels after A's, and
+    B's blocks with their wires shifted by A's height, in every mode, through
+    the tree and through parse_program."""
+
+    def test_tensor_is_side_by_side(self):
+        rng = random.Random(97)
+        for _ in range(1500):
+            a = random_circuit(rng, rng.randint(2, 9), rng.randint(1, 14))
+            b = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 14))
+            both = Tensor(a, b)
+            program = parse_program(unparse(both))
+            for mode in AnalysisMode:
+                sa, sb = analyze(a, mode), analyze(b, mode)
+                beside = (sa.labels + sb.labels,
+                          sa.sep.blocks() + shifted(sb.sep.blocks(), a.height),
+                          sa.lvl.blocks() + shifted(sb.lvl.blocks(), a.height))
+                for circuit in (both, program):
+                    st = analyze(circuit, mode)
+                    assert (st.labels, st.sep.blocks(), st.lvl.blocks()) == beside
 
 
 # H and CX-heavy, so that wide blocks form, split and move under SW

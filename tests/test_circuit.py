@@ -22,11 +22,13 @@ from qent.circuit import (
     CircuitSyntaxError,
     Gate,
     GateKind,
+    Program,
     Seq,
     Tensor,
     ValidationError,
     iter_gates,
     parse_circuit,
+    parse_program,
     _tokens,
     unparse,
     validate,
@@ -224,6 +226,100 @@ class TestLexer:
             m.setattr("qent.circuit._tokens", regex_tokens)
             assert [outcome(text) for text in texts] == results
         assert sum(type(r) is not tuple for r in results) > 500
+
+
+def flat(tree):
+    """The Program of a tree, from iter_gates: its height, then each gate's
+    kind and base wire."""
+    pairs = [(gate.kind, q) for gate, q in iter_gates(tree)]
+    return Program(tree.height, tuple(kind for kind, _ in pairs), tuple(q for _, q in pairs))
+
+
+def program_outcome(text):
+    """outcome(text) for parse_program: its Program, or the type, message,
+    line and column of the error it raises."""
+    try:
+        return parse_program(text)
+    except (CircuitSyntaxError, ValidationError) as err:
+        return type(err), err.message, err.line, err.column
+
+
+class TestProgram:
+    """parse_program and parse_circuit are one loop: on every text the
+    program is the tree's iter_gates pairs and height, or both raise the
+    same error at the same place."""
+
+    def same_outcome(self, texts):
+        """Checks every text; returns (programs, errors) seen."""
+        programs = errors = 0
+        for text in texts:
+            tree = outcome(text)
+            if type(tree) is tuple:
+                errors += 1
+                assert program_outcome(text) == tree, text
+            else:
+                programs += 1
+                assert program_outcome(text) == flat(tree), text
+        return programs, errors
+
+    def test_matches_the_tree_on_the_lexer_corpus(self):
+        programs, errors = self.same_outcome(TestLexer().corpus())
+        assert programs > 500 and errors > 10_000
+
+    def test_matches_the_tree_on_random_circuits(self):
+        rng = random.Random(31)
+        texts = [unparse(random_circuit(rng, rng.randint(1, 12), rng.randint(1, 14)))
+                 for _ in range(300)]
+        assert self.same_outcome(texts) == (300, 0)
+
+    def test_matches_the_tree_on_nested_shapes(self):
+        """Fully parenthesized shapes, so gates sit inside parentheses that
+        open at every base wire, and half of them are ill-formed at some
+        depth."""
+        rng = random.Random(32)
+        gates = [Gate(k) for k in ALL_KINDS]
+
+        def random_shape(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice(gates)
+            ctor = Seq if rng.random() < 0.5 else Tensor
+            return (ctor, random_shape(depth - 1), random_shape(depth - 1))
+
+        shapes = [random_shape(6) for _ in range(1000)]
+        programs, errors = self.same_outcome(render(shape) for shape in shapes)
+        assert programs > 100 and errors > 100
+
+    @pytest.mark.parametrize("text", ["H oo CX", "H oo CX oo", "(H oo X oo CX", "H oo CX **",
+                                      "H ** oo I oo CX", "H oo CX oo Q", "", "H I", "(H"])
+    def test_errors_match(self, text):
+        assert type(outcome(text)) is tuple
+        assert program_outcome(text) == outcome(text)
+
+    def test_value(self):
+        program = parse_program("H ** (I oo X) oo CX")
+        kinds = (GateKind.H, GateKind.I, GateKind.X, GateKind.CX)
+        assert program == Program(2, kinds, (0, 1, 1, 0))
+        assert (program.n, program.kinds, program.wires) == program
+        assert hash(program) == hash(parse_program("H**(I oo X)oo CX"))
+        with pytest.raises(AttributeError):
+            program.n = 3
+
+    def test_builds_no_node(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("parse_program built a tree node")
+
+        monkeypatch.setattr("qent.circuit.Tensor", forbidden)
+        monkeypatch.setattr("qent.circuit.Seq", forbidden)
+        assert parse_program("H ** CX oo (SW oo X ** Y) ** T") == Program(
+            3, (GateKind.H, GateKind.CX, GateKind.SW, GateKind.X, GateKind.Y, GateKind.T),
+            (0, 1, 0, 0, 1, 2))
+
+    def test_deeply_nested_parentheses(self):
+        depth = 10**5
+        assert parse_program("X ** " + "(" * depth + "H ** CX" + ")" * depth) == Program(
+            4, (GateKind.X, GateKind.H, GateKind.CX), (0, 1, 2))
+        text = "(" * depth + "H"
+        assert program_outcome(text) == outcome(text)
 
 
 class TestHeight:

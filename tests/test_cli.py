@@ -18,7 +18,8 @@ import pytest
 
 import qent
 from qent.analyzer import AnalysisMode, analyze, analyze_traced
-from qent.circuit import CX, DEFAULT_QUBIT_LIMIT, H, GateKind, Seq, parse_circuit, unparse
+from qent.circuit import (CX, DEFAULT_QUBIT_LIMIT, H, GateKind, Program, Seq, parse_circuit,
+                          unparse)
 from qent.cli import _soundness_doc, _split_pairs, main, state_to_document
 from qent.domain import AbstractState, Partition
 from qent.oracle import check_soundness, simulate
@@ -537,16 +538,28 @@ class TestCompare:
             assert out.splitlines()[-1] == "more precise on: " + (" ".join(delta) or "(none)")
 
     def test_walks_the_tree_once(self, qc, capsys, monkeypatch):
-        iter_gates, calls = qent.analyzer.iter_gates, []
+        """compare reads the gates once for both modes: one pass over the
+        program's kinds, and no walk of a tree."""
+        parse_program, leaves, walks = qent.cli.parse_program, qent.analyzer._leaves, []
 
-        def counted(circuit):
-            calls.append(circuit)
-            return iter_gates(circuit)
+        class Kinds(tuple):
+            def __iter__(self):
+                walks.append("program")
+                return super().__iter__()
 
-        monkeypatch.setattr(qent.analyzer, "iter_gates", counted)
+        def counted_program(text):
+            n, kinds, wires = parse_program(text)
+            return Program(n, Kinds(kinds), wires)
+
+        def counted_tree(circuit, kinds):
+            walks.append("tree")
+            return leaves(circuit, kinds)
+
+        monkeypatch.setattr(qent.cli, "parse_program", counted_program)
+        monkeypatch.setattr(qent.analyzer, "_leaves", counted_tree)
         code, out, _ = run(capsys, ["compare", qc("H ** I oo CX oo CX")])
         assert code == 0 and out.endswith("more precise on: (0,1)\n")
-        assert len(calls) == 1
+        assert walks == ["program"]
 
     def test_propagates_parse_errors(self, qc, capsys):
         code, _, err = run(capsys, ["compare", qc("H ** ")])
@@ -680,7 +693,8 @@ class TestOutOfMemory:
              ["compare"]]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    @pytest.mark.parametrize("names", [["parse_circuit"], ["analyze", "analyze_traced", "_walk"]],
+    @pytest.mark.parametrize("names", [["parse_circuit", "parse_program"],
+                                       ["analyze", "analyze_traced", "_walk"]],
                              ids=["parse", "analysis"])
     def test_exits_2_with_one_line(self, qc, capsys, monkeypatch, argv, names):
         def out_of_memory(*args):
@@ -764,6 +778,7 @@ class TestCollectorPause:
                 raise MemoryError
 
             monkeypatch.setattr(qent.cli, "parse_circuit", out_of_memory)
+            monkeypatch.setattr(qent.cli, "parse_program", out_of_memory)
         if text == "no stdout":  # as when started with fd 1 closed
             monkeypatch.setattr(sys, "stdout", None)
         path = str(tmp_path / "missing.qc") if text is None else qc(text)

@@ -518,6 +518,21 @@ class TestFusedSimulate:
             assert len(calls) <= two_qubit_gates(c) + c.height
 
 
+class TestCompositionLaw:
+    """The exact finest partition of A ** B is A's beside B's, B's blocks
+    shifted by A's height, as the analysis's (test_analyzer.py)."""
+
+    def test_finest_partition_is_side_by_side(self):
+        rng = random.Random(98)
+        for _ in range(300):
+            a = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 8))
+            b = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 8))
+            beside = (finest_separable_partition(simulate(a))
+                      + [[q + a.height for q in block]
+                         for block in finest_separable_partition(simulate(b))])
+            assert finest_separable_partition(simulate(Tensor(a, b))) == beside
+
+
 def levels_by_definition(state):
     """Pairs (i, j), i < j, of superposed qubits whose bits agree in every
     nonzero basis state or differ in every one, read pair by pair off the

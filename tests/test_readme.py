@@ -39,6 +39,12 @@ def test_library_example():
         assert eval(expression, namespace) == eval(value, {"BasisLabel": BasisLabel}), expression
 
 
+def test_program_example():
+    text, program = re.search(r'`parse_program\("([^"]+)"\)` is\s+`(Program\([^`]+\))`',
+                              section("Library")).groups()
+    assert qent.parse_program(text) == eval(program, vars(qent))
+
+
 def test_bell_analyze_output(tmp_path, capsys):
     bell = fenced(section("Circuit language"), "text")[0]
     expected = fenced(section("Command line"), "text")[0]
@@ -72,11 +78,11 @@ def test_public_api():
     """Any change to the exports is a deliberate edit of this list."""
     assert qent.__all__ == [
         "AbstractState", "AnalysisMode", "BasisLabel", "CircuitAst", "CircuitSyntaxError",
-        "ConcreteBasis", "DenseState", "Gate", "GateKind", "Partition", "Seq",
+        "ConcreteBasis", "DenseState", "Gate", "GateKind", "Partition", "Program", "Seq",
         "SoundnessReport", "Tensor", "TraceStep", "ValidationError", "analyze",
         "analyze_traced", "apply_cx_at", "apply_gate", "basis_oracle", "check_soundness",
         "finest_separable_partition", "init_state", "iter_gates", "levels_oracle",
-        "parse_circuit", "simulate", "unparse", "validate",
+        "parse_circuit", "parse_program", "simulate", "unparse", "validate",
     ]
     assert qent.__all__ == sorted(qent.__all__)
     for name in qent.__all__:

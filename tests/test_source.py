@@ -96,10 +96,19 @@ def test_one_error_path():
 
 
 def test_one_analysis_loop():
-    """`analyze`, `analyze_traced` and compare's two modes share one loop:
-    analyzer.py has one `for` statement over `iter_gates(...)`."""
+    """`analyze`, `analyze_traced` and compare's two modes, over a tree or a
+    Program, share one loop: analyzer.py has one `for` statement whose body
+    looks a rule up in `_RULES`, by that name or by a name bound to one of
+    its methods (`rules = _RULES.get`)."""
     tree = ast.parse((SRC / "analyzer.py").read_text(encoding="utf-8"))
+
+    def names(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    lookups = {"_RULES"} | {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                            and isinstance(node.value, ast.Attribute)
+                            and names(node.value) == {"_RULES"}
+                            for target in node.targets if isinstance(target, ast.Name)}
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
-             and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Name)
-             and node.iter.func.id == "iter_gates"]
+             and any(lookups & names(stmt) for stmt in node.body)]
     assert len(loops) == 1
