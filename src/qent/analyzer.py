@@ -17,15 +17,17 @@ wire, and returns whether the state's value changed:
   differ only in that branch's level update.
 * SW exchanges the two wires across labels and both partitions.
 
-I, X, Y and Z preserve every basis, so they have no entry: they are
-abstract no-ops. One loop, `_walk`, serves `analyze`, `analyze_traced`
-and the CLI's `compare`: it keeps one working copy of the state per mode
-it is given and applies each gate's rule to every copy, so `compare`'s
-two modes take one pass over the gates. A trace comes with exactly one
-mode. `apply_gate`, `apply_cx_at` and `AbstractState.swap_adjacent` run
-the same rules on a given state and rebind its partitions. Three rule modes
-are selectable; the four functions that take a mode take an AnalysisMode
-or its value ("no-levels"), and raise ValueError on anything else:
+I, X, Y and Z preserve every basis: their entry is None, an abstract no-op.
+The table has an entry for every GateKind, and `_walk` and `apply_gate` index
+it, so a kind that is not a GateKind raises ValueError and never passes as a
+no-op. One loop, `_walk`, serves `analyze`, `analyze_traced` and the CLI's
+`compare`: it keeps one working copy of the state per mode it is given and
+applies each gate's rule to every copy, so `compare`'s two modes take one
+pass over the gates. A trace comes with exactly one mode. `apply_gate`,
+`apply_cx_at` and `AbstractState.swap_adjacent` run the same rules on a
+given state and rebind its partitions. Three rule modes are selectable; the
+four functions that take a mode take an AnalysisMode or its value
+("no-levels"), and raise ValueError on anything else:
 
 * LEVELS (default): full rules. CX joins the entanglement partition when
   it can entangle, marks a fresh diagonal-control/standard-target pair as
@@ -186,8 +188,9 @@ def _cx(labels: list[BasisLabel], sep: list, lvl: list, q: int, mode: AnalysisMo
     return _cx_at(labels, sep, lvl, q, q + 1, mode)
 
 
-# I, X, Y, Z preserve every basis and have no entry: abstract no-ops.
-_RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _swap_adjacent}
+# One entry per GateKind; I, X, Y and Z preserve every basis, so theirs is None.
+_RULES = {GateKind.H: _h, GateKind.T: _t, GateKind.CX: _cx, GateKind.SW: _swap_adjacent,
+          GateKind.I: None, GateKind.X: None, GateKind.Y: None, GateKind.Z: None}
 
 
 def apply_gate(st: AbstractState, kind: GateKind, index: int,
@@ -202,7 +205,7 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
     mode = AnalysisMode(mode)
     if index < 0 or index + kind.height > st.n:
         raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
-    rule = _RULES.get(kind)
+    rule = _RULES[kind]
     if rule is not None:
         st._apply(rule, index, mode)
     return st
@@ -218,11 +221,14 @@ def _walk(circuit: CircuitAst | Program, modes: tuple[AnalysisMode, ...],
     """The one analysis loop, from the all-|0> state: one working state per
     mode, and each gate's rule applied to every one of them in one pass over
     the gates, a Program's (kind, wire) pairs or a tree's streamed from the
-    walk behind iter_gates, which yields kinds here. Returns a snapshot of each end state, in the order of modes.
-    Given a steps list, and then exactly one mode, it also appends one
-    TraceStep per gate."""
+    walk behind iter_gates, which yields kinds here. Returns a snapshot of
+    each end state, in the order of modes. Given a steps list, and then
+    exactly one mode, it also appends one TraceStep per gate.
+
+    Raises ValueError on a Program whose kinds and wires differ in length or
+    that holds a kind that is not a GateKind; its wires are not checked."""
     if isinstance(circuit, Program):
-        n, gates = circuit.n, zip(circuit.kinds, circuit.wires)
+        n, gates = circuit.n, zip(circuit.kinds, circuit.wires, strict=True)
     else:
         n, gates = validate(circuit), _leaves(circuit, True)
     st = init_state(n)
@@ -230,18 +236,21 @@ def _walk(circuit: CircuitAst | Program, modes: tuple[AnalysisMode, ...],
     if steps is not None:
         (labels, sep, lvl, _), = work
         snap = _snapshot(labels, sep, lvl)
-    rules = _RULES.get
-    for kind, index in gates:
-        rule = rules(kind)
-        if rule is None:
-            changed = False
-        else:
-            for labels, sep, lvl, mode in work:
-                changed = rule(labels, sep, lvl, index, mode)
-        if steps is not None:
-            if changed:
-                snap = _snapshot(labels, sep, lvl)
-            steps.append(TraceStep(kind, index, snap))
+    rules = _RULES
+    try:
+        for kind, index in gates:
+            rule = rules[kind]
+            if rule is None:
+                changed = False
+            else:
+                for labels, sep, lvl, mode in work:
+                    changed = rule(labels, sep, lvl, index, mode)
+            if steps is not None:
+                if changed:
+                    snap = _snapshot(labels, sep, lvl)
+                steps.append(TraceStep(kind, index, snap))
+    except KeyError:  # only the table lookup raises it
+        raise ValueError(f"{kind!r} is not a valid GateKind") from None
     return [_snapshot(labels, sep, lvl) for labels, sep, lvl, _ in work]
 
 

@@ -165,8 +165,10 @@ class Program(NamedTuple):
     """A circuit as a flat gate program: its n wires, and its gates in
     analysis order (iter_gates order) as two tuples of equal length, each
     gate's kind and base wire. parse_program makes one from text; analyze
-    and analyze_traced take it in place of a tree and trust it, so build
-    one by hand only with in-range wires."""
+    and analyze_traced take it in place of a tree. They raise ValueError on
+    a kind that is not a GateKind member or on tuples of unequal length,
+    but do not check wires: one built by hand must keep every gate on its
+    n wires, and a negative wire is not detected."""
 
     n: int
     kinds: tuple[GateKind, ...]

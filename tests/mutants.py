@@ -43,8 +43,8 @@ MUTANTS = [
     (ANALYZER, "if mode is AnalysisMode.LEVELS:", "if mode is not AnalysisMode.UNSAFE_LEVELING:",
      "killed"),
     # _cx_at, case 3
-    (ANALYZER, "if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:",
-     "if target in lvl[control]:",
+    (ANALYZER, "if target in lvl[control]:",
+     "if mode is not AnalysisMode.NO_LEVELS and target in lvl[control]:",
      "equivalent: by I1 no level block holds both wires in NO_LEVELS"),
     (ANALYZER, "        _split(sep, target)\n        _split(lvl, target)\n",
      "        _split(lvl, target)\n", "killed"),
@@ -52,8 +52,8 @@ MUTANTS = [
      "        _split(sep, target)\n", "killed"),
     (ANALYZER, "b[target] = _S", "b[target] = _TOP", "killed"),
     # _cx_at, entangling branch
-    (ANALYZER, "changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP",
-     "changed = _join(sep, control, target)",
+    (ANALYZER, "    changed = _join(sep, control, target)\n",
+     "    changed = _join(sep, control, target) or bc is not _TOP or bt is not _TOP\n",
      "equivalent: by I2 a label case 4 turns top was a singleton's, so the join changes"),
     (ANALYZER, "    changed = _join(sep, control, target)", "    changed = False", "killed"),
     # ... in LEVELS: drop the target's de-level; de-level the control instead
@@ -82,7 +82,7 @@ MUTANTS = [
      "return _swap(sep, i, j) | _swap(lvl, i, j)", "killed"),
     (DOMAIN, "labels[i], labels[j] = b, a", "labels[i], labels[j] = a, b", "killed"),
     # _walk: snapshot after every traced gate, not only after a change
-    (ANALYZER, "            if changed:\n", "            if True:\n", "killed"),
+    (ANALYZER, "                if changed:\n", "                if True:\n", "killed"),
     # domain._join: report a join within one block as a change
     (DOMAIN, "        return False\n    block = bi | members[j]",
      "        return True\n    block = bi | members[j]", "killed"),
@@ -93,6 +93,8 @@ MUTANTS = [
     (ANALYZER, "if target in lvl[control]:",
      "if target in lvl[control] and not (bc is _D and bt is _S):",
      "equivalent: by I2 a fresh pair shares no level block"),
+    # _walk: take a kind the table lacks as a silent no-op again
+    (ANALYZER, "rule = rules[kind]", "rule = rules.get(kind)", "killed"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

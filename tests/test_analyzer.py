@@ -13,7 +13,8 @@ import pytest
 import qent.analyzer
 import qent.circuit
 from qent.analyzer import AnalysisMode, _walk, analyze, analyze_traced, apply_cx_at, apply_gate
-from qent.circuit import I, Gate, GateKind, Seq, Tensor, parse_circuit, parse_program, unparse
+from qent.circuit import (I, Gate, GateKind, Program, Seq, Tensor, iter_gates, parse_circuit,
+                          parse_program, unparse)
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
 from helpers import (
     ALL_KINDS,
@@ -456,13 +457,22 @@ class TestModeInvariants:
         reached or not, every rule at every base wire gives a state that
         satisfies them again, with both partitions well formed, and returns
         True exactly when the state changed: CX case 4 and analyze_traced
-        rely on that flag. Counts are per mode, in AnalysisMode order."""
+        rely on that flag. A kind whose entry is None is I, X, Y or Z, and
+        apply_gate with it leaves every such state as it is. Counts are per
+        mode, in AnalysisMode order."""
+        no_ops = {GateKind.I, GateKind.X, GateKind.Y, GateKind.Z}
         for mode, count in zip(AnalysisMode, counts):
             states = list(invariant_states(n, mode))
             assert len(states) == count
             for labels, sep, lvl in states:
                 for kind, rule in qent.analyzer._RULES.items():
                     for q in range(n - kind.height + 1):
+                        if rule is None:
+                            assert kind in no_ops
+                            before = AbstractState(labels, Partition(tuple(sep)),
+                                                   Partition(tuple(lvl)))
+                            assert apply_gate(copy.deepcopy(before), kind, q, mode) == before
+                            continue
                         b, sp, lv = list(labels), list(sep), list(lvl)
                         changed = rule(b, sp, lv, q, mode)
                         where = (mode.value, kind.value, q, labels, sep, lvl)
@@ -585,6 +595,60 @@ class TestOneWalk:
             assert state_row(end) == state_row(tree_end)
             assert ([(s.gate, s.index, state_row(s.state)) for s in steps]
                     == [(s.gate, s.index, state_row(s.state)) for s in tree_steps])
+
+
+def program_of(circuit, kind=lambda gate: gate.kind):
+    """A Program built by hand from the (gate, wire) pairs of iter_gates,
+    with kind(gate) as each gate's kind."""
+    pairs = list(iter_gates(circuit))
+    return Program(circuit.height, tuple(kind(g) for g, _ in pairs), tuple(q for _, q in pairs))
+
+
+def analyses():
+    """A call of every analysis entry point that takes a Program: analyze
+    and analyze_traced in each mode, and _walk with compare's two modes."""
+    for mode in AnalysisMode:
+        yield lambda p, mode=mode: analyze(p, mode)
+        yield lambda p, mode=mode: analyze_traced(p, mode)
+    yield lambda p: _walk(p, (LEVELS, NO_LEVELS))
+
+
+class TestProgramContract:
+    """The analysis reads a Program only if its kinds are GateKind members and
+    its kinds and wires have equal length, and raises ValueError otherwise:
+    the rule table has an entry for every kind, so nothing passes as a
+    silent no-op."""
+
+    def test_rules_cover_every_kind(self):
+        assert set(qent.analyzer._RULES) == set(GateKind)
+
+    @pytest.mark.parametrize("kind", [lambda gate: gate, lambda gate: gate.kind.value,
+                                      lambda gate: None if gate.kind is GateKind.I else gate.kind],
+                             ids=["Gate-node", "value", "None"])
+    def test_foreign_kind_raises(self, kind):
+        program = program_of(parse_circuit("H ** I oo CX"), kind)
+        for call in analyses():
+            with pytest.raises(ValueError, match="is not a valid GateKind"):
+                call(program)
+
+    @pytest.mark.parametrize("kinds, wires", [((GateKind.H, GateKind.I, GateKind.CX), (0, 1)),
+                                              ((GateKind.H, GateKind.I), (0, 1, 0))],
+                             ids=["fewer-wires", "fewer-kinds"])
+    def test_unequal_lengths_raise(self, kinds, wires):
+        for call in analyses():
+            with pytest.raises(ValueError):
+                call(Program(2, kinds, wires))
+
+    def test_a_program_of_iter_gates_kinds_walks_as_its_tree(self):
+        """The positive control: built from iter_gates' (gate.kind, wire)
+        pairs, a Program analyzes as its tree, the Bell pair included."""
+        assert analyze(program_of(parse_circuit("H ** I oo CX"))).sep.blocks() == [[0, 1]]
+        rng = random.Random(85)
+        for _ in range(200):
+            circuit = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 10))
+            program = program_of(circuit)
+            for mode in AnalysisMode:
+                assert state_row(analyze(program, mode)) == state_row(analyze(circuit, mode))
 
 
 def shifted(blocks, offset):
