@@ -1,8 +1,8 @@
 """Abstract interpreter: gate rules over the label/partition domain.
 
 One analysis pass visits the gates in `iter_gates` order, a Program's
-`(kind, wire)` pairs as they stand or a tree's streamed one at a time from
-the walk behind `iter_gates`, and applies each gate's transfer function.
+`(kind, wire)` pairs as they stand or a tree's read one at a time from
+`iter_gates`, and applies each gate's transfer function.
 The transfer functions live in one table, `_RULES`, mapping a GateKind to a
 rule `rule(labels, sep, lvl, wire, mode)` that updates the labels and the
 two partitions' member lists (see `domain`) in place at the gate's base
@@ -18,9 +18,11 @@ wire, and returns whether the state's value changed:
 * SW exchanges the two wires across labels and both partitions.
 
 I, X, Y and Z preserve every basis: their entry is None, an abstract no-op.
-The table has an entry for every GateKind, and `_walk` and `apply_gate` index
-it, so a kind that is not a GateKind raises ValueError and never passes as a
-no-op. One loop, `_walk`, serves `analyze`, `analyze_traced` and the CLI's
+The table has an entry for every GateKind. A Program is valid by
+construction and a tree's gates are GateKinds, so `_walk` indexes the table
+and checks nothing; `apply_gate` refuses a kind that is not a GateKind with
+ValueError, and every wire goes through `circuit._check_wires`. One loop,
+`_walk`, serves `analyze`, `analyze_traced` and the CLI's
 `compare`: it keeps one working copy of the state per mode it is given and
 applies each gate's rule to every copy, so `compare`'s two modes take one
 pass over the gates. A trace comes with exactly one mode. `apply_gate`,
@@ -81,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import CircuitAst, GateKind, Program, _leaves, validate
+from .circuit import CircuitAst, GateKind, Program, _check_wires, iter_gates, validate
 from .domain import AbstractState, BasisLabel, Partition, _join, _split, _swap_adjacent, init_state
 
 _S = BasisLabel.S
@@ -135,9 +137,7 @@ def apply_cx_at(st: AbstractState, control: int, target: int,
     state reached from init_state in that mode does.
     """
     mode = AnalysisMode(mode)
-    n = st.n
-    if not (0 <= control < n and 0 <= target < n):
-        raise IndexError(f"cx({control},{target}) out of range for n={n}")
+    _check_wires(st.n, control, target)
     if control == target:
         raise ValueError("cx control and target must differ")
     st._apply(_cx_at, control, target, mode)
@@ -203,8 +203,7 @@ def apply_gate(st: AbstractState, kind: GateKind, index: int,
     """
     kind = GateKind(kind)
     mode = AnalysisMode(mode)
-    if index < 0 or index + kind.height > st.n:
-        raise IndexError(f"{kind.value} at {index} out of range for n={st.n}")
+    _check_wires(st.n, index, index + kind.height - 1)
     rule = _RULES[kind]
     if rule is not None:
         st._apply(rule, index, mode)
@@ -220,37 +219,32 @@ def _walk(circuit: CircuitAst | Program, modes: tuple[AnalysisMode, ...],
           steps: list[TraceStep] | None = None) -> list[AbstractState]:
     """The one analysis loop, from the all-|0> state: one working state per
     mode, and each gate's rule applied to every one of them in one pass over
-    the gates, a Program's (kind, wire) pairs or a tree's streamed from the
-    walk behind iter_gates, which yields kinds here. Returns a snapshot of
-    each end state, in the order of modes. Given a steps list, and then
-    exactly one mode, it also appends one TraceStep per gate.
-
-    Raises ValueError on a Program whose kinds and wires differ in length or
-    that holds a kind that is not a GateKind; its wires are not checked."""
+    the gates, a Program's (kind, wire) pairs or a tree's (gate.kind, wire)
+    pairs from iter_gates. Returns a snapshot of each end state, in the
+    order of modes. Given a steps list, and then exactly one mode, it also
+    appends one TraceStep per gate. It checks nothing: a Program is valid by
+    construction, and so is a tree."""
     if isinstance(circuit, Program):
-        n, gates = circuit.n, zip(circuit.kinds, circuit.wires, strict=True)
+        n, gates = circuit.n, zip(circuit.kinds, circuit.wires)
     else:
-        n, gates = validate(circuit), _leaves(circuit, True)
+        n, gates = validate(circuit), ((gate.kind, q) for gate, q in iter_gates(circuit))
     st = init_state(n)
     work = [([*st.labels], [*st.sep.members], [*st.lvl.members], AnalysisMode(m)) for m in modes]
     if steps is not None:
         (labels, sep, lvl, _), = work
         snap = _snapshot(labels, sep, lvl)
     rules = _RULES
-    try:
-        for kind, index in gates:
-            rule = rules[kind]
-            if rule is None:
-                changed = False
-            else:
-                for labels, sep, lvl, mode in work:
-                    changed = rule(labels, sep, lvl, index, mode)
-            if steps is not None:
-                if changed:
-                    snap = _snapshot(labels, sep, lvl)
-                steps.append(TraceStep(kind, index, snap))
-    except KeyError:  # only the table lookup raises it
-        raise ValueError(f"{kind!r} is not a valid GateKind") from None
+    for kind, index in gates:
+        rule = rules[kind]
+        if rule is None:
+            changed = False
+        else:
+            for labels, sep, lvl, mode in work:
+                changed = rule(labels, sep, lvl, index, mode)
+        if steps is not None:
+            if changed:
+                snap = _snapshot(labels, sep, lvl)
+            steps.append(TraceStep(kind, index, snap))
     return [_snapshot(labels, sep, lvl) for labels, sep, lvl, _ in work]
 
 

@@ -34,20 +34,30 @@ reading it is O(1). A tree's value is its canonical text: `==`, `hash()` and
 with an explicit stack or loop, so none has a depth limit.
 
 A Program is the flat form of a circuit: its height n and its gates in
-`iter_gates` order, as a tuple of kinds and a tuple of base wires.
+`iter_gates` order, as a tuple of kinds and a tuple of base wires. Like a
+tree, it is valid by construction: its constructor refuses a kind that is
+not a GateKind, tuples of unequal length, and a gate off its n wires.
 parse_program reads text into one with the parser's loop and builds no
 node, so it accepts the same texts as parse_circuit and raises the same
 errors at the same places; parse_circuit builds the tree and lists no gate.
-The analysis takes either form; the command line parses a Program, and a
-tree only for the exact oracle, which simulates trees.
+A parsed Program is valid as parsed, so the parser builds it without the
+constructor's check. The analysis takes either form; the command line
+parses a Program, and a tree only for the exact oracle, which simulates
+trees.
+
+`_check_wires` is the one test of a wire index, here and wherever a
+function of qent takes one: an integer (as operator.index reads it) in
+0..n-1.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from itertools import islice
-from typing import Iterator, NamedTuple, Union
+from operator import index
+from typing import Iterator, Union
 
 
 class _Symbol(Enum):
@@ -161,18 +171,39 @@ GATES = {g.kind.value: g for g in (I, X, Y, Z, H, T, SW, CX)}
 _ATOMS = {name: (g, g.kind, g.height) for name, g in GATES.items()}  # the parser's gate tokens
 
 
-class Program(NamedTuple):
+def _check_wires(n: int, *wires: int) -> None:
+    """Refuse any wire that is not an integer in 0..n-1: TypeError for a
+    non-integer (operator.index's), IndexError for one out of range."""
+    for wire in wires:
+        if not 0 <= index(wire) < n:
+            raise IndexError(f"qubit {wire} out of range for n={n}")
+
+
+class Program(namedtuple("Program", "n kinds wires")):
     """A circuit as a flat gate program: its n wires, and its gates in
     analysis order (iter_gates order) as two tuples of equal length, each
     gate's kind and base wire. parse_program makes one from text; analyze
-    and analyze_traced take it in place of a tree. They raise ValueError on
-    a kind that is not a GateKind member or on tuples of unequal length,
-    but do not check wires: one built by hand must keep every gate on its
-    n wires, and a negative wire is not detected."""
+    and analyze_traced take it in place of a tree.
 
-    n: int
-    kinds: tuple[GateKind, ...]
-    wires: tuple[int, ...]
+    Valid by construction: the constructor, and with it _make, _replace,
+    pickle and copy, stores kinds and wires as tuples and raises ValueError
+    on a kind that is not a GateKind member or on tuples of unequal length,
+    and the wire check's IndexError or TypeError on a gate whose wires,
+    base to base + height - 1, are not all on the n wires."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, kinds: tuple[GateKind, ...], wires: tuple[int, ...]) -> Program:
+        kinds, wires = tuple(kinds), tuple(wires)
+        if len(kinds) != len(wires):
+            raise ValueError(f"{len(kinds)} kinds but {len(wires)} wires")
+        for kind, wire in zip(kinds, wires):
+            if type(kind) is not GateKind:
+                raise ValueError(f"{kind!r} is not a valid GateKind")
+            _check_wires(n, wire, wire + kind.height - 1)
+        return tuple.__new__(cls, (n, kinds, wires))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 # The widest circuit the exact oracle simulates unless given another limit
@@ -357,7 +388,7 @@ def _parse(text: str, tree: bool) -> CircuitAst | Program:
             if not frames:
                 if tok:
                     raise error("expected operator or end of input", k)
-                return seq if tree else Program(height, tuple(kinds), tuple(wires))
+                return seq if tree else tuple.__new__(Program, (height, tuple(kinds), tuple(wires)))
             node, kind, h = seq, None, height
             seq, tensor, base, height, width, oo, opening = frames.pop()
             if tok != ")":
@@ -378,12 +409,8 @@ def iter_gates(circuit: CircuitAst) -> Iterator[tuple[Gate, int]]:
     and runs down its left spine to the gate it starts with, pushing the
     right child of every node it passes with that child's base; no left
     child is ever pushed. Iterative, so arbitrarily deep trees are fine.
+    The one walk of a tree's gates: the analysis and the oracle read it.
     """
-    return _leaves(circuit, False)
-
-
-def _leaves(circuit: CircuitAst, kinds: bool) -> Iterator[tuple[Gate | GateKind, int]]:
-    """iter_gates's walk; with kinds true it yields each gate's kind, not the gate."""
     stack: list[tuple[CircuitAst, int]] = [(circuit, 0)]
     while stack:
         node, q = stack.pop()
@@ -393,7 +420,7 @@ def _leaves(circuit: CircuitAst, kinds: bool) -> Iterator[tuple[Gate | GateKind,
             stack.append((node.right, q) if t is Seq else (node.right, q + left.height))
             node = left
             t = type(node)
-        yield (node.kind if kinds else node), q
+        yield node, q
 
 
 _PREC = {Seq: 1, Tensor: 2}

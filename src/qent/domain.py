@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .circuit import _Symbol
+from .circuit import _Symbol, _check_wires
 
 
 class BasisLabel(_Symbol):
@@ -107,8 +107,7 @@ class Partition:
                 raise ValueError("empty block")
             shared = frozenset(listed)
             for m in listed:
-                if not 0 <= m < n:
-                    raise IndexError(f"qubit {m} out of range for n={n}")
+                _check_wires(n, m)
                 if members[m] is not None:
                     raise ValueError(f"qubit {m} appears in more than one block")
                 members[m] = shared
@@ -117,20 +116,15 @@ class Partition:
             raise ValueError(f"qubits {missing} missing from blocks")
         return cls(tuple(members))
 
-    def _check_index(self, *qubits: int) -> None:
-        for i in qubits:
-            if not 0 <= i < len(self.members):
-                raise IndexError(f"qubit {i} out of range for n={len(self.members)}")
-
     def _updated(self, op, *qubits: int) -> Partition:
         """A copy with the in-place operation op applied at the qubits, or
         self when op reports no change."""
-        self._check_index(*qubits)
+        _check_wires(len(self.members), *qubits)
         members = list(self.members)
         return Partition(tuple(members)) if op(members, *qubits) else self
 
     def same_block(self, i: int, j: int) -> bool:
-        self._check_index(i, j)
+        _check_wires(len(self.members), i, j)
         return j in self.members[i]
 
     def blocks(self) -> list[list[int]]:
@@ -181,8 +175,7 @@ class AbstractState:
 
     def swap_adjacent(self, i: int) -> AbstractState:
         """Exchange wires i and i+1 across all three components."""
-        if not 0 <= i < self.n - 1:
-            raise IndexError(f"swap at {i} out of range for n={self.n}")
+        _check_wires(self.n, i, i + 1)
         self._apply(_swap_adjacent, i)
         return self
 

@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import DEFAULT_QUBIT_LIMIT, CircuitAst, GateKind, iter_gates, validate
+from .circuit import DEFAULT_QUBIT_LIMIT, CircuitAst, GateKind, _check_wires, iter_gates, validate
 from .domain import AbstractState, BasisLabel, Partition, _join
 
 EPS = 1e-9
@@ -246,9 +246,7 @@ class ConcreteBasis(Enum):
 
 def basis_oracle(state: DenseState, qubit: int) -> ConcreteBasis:
     """Classify a qubit's basis; entangled qubits are NEITHER."""
-    n = state.n
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for n={n}")
+    _check_wires(state.n, qubit)
     m = _bipartition_matrix(state, (qubit,))
     # reduced SVD: the 2^(n-1) x 2^(n-1) right factor is never read. At n = 1
     # m is one column, so sv[1:] is empty and u[:, 0] is the state up to phase.

@@ -3,8 +3,9 @@
     python tests/mutants.py [NUMBER ...]
 
 MUTANTS lists single edits (file, old, new, expected) of the rules and the
-analysis loop (with its loop over modes) in `analyzer` and the partition
-operations in `domain` they call. For each
+analysis loop (with its loop over modes) in `analyzer`, the partition
+operations in `domain` they call, and the checks in `circuit` that make a
+Program valid by construction. For each
 mutant (or only those NUMBERs, counted from 1), the checkout is copied to
 a temporary directory, `old` is replaced by `new` there (the checkout
 itself is never edited), and the tier-1 suite runs in the copy with -x.
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ANALYZER = "src/qent/analyzer.py"
+CIRCUIT = "src/qent/circuit.py"
 DOMAIN = "src/qent/domain.py"
 
 MUTANTS = [
@@ -82,7 +84,7 @@ MUTANTS = [
      "return _swap(sep, i, j) | _swap(lvl, i, j)", "killed"),
     (DOMAIN, "labels[i], labels[j] = b, a", "labels[i], labels[j] = a, b", "killed"),
     # _walk: snapshot after every traced gate, not only after a change
-    (ANALYZER, "                if changed:\n", "                if True:\n", "killed"),
+    (ANALYZER, "            if changed:\n", "            if True:\n", "killed"),
     # domain._join: report a join within one block as a change
     (DOMAIN, "        return False\n    block = bi | members[j]",
      "        return True\n    block = bi | members[j]", "killed"),
@@ -94,7 +96,17 @@ MUTANTS = [
      "if target in lvl[control] and not (bc is _D and bt is _S):",
      "equivalent: by I2 a fresh pair shares no level block"),
     # _walk: take a kind the table lacks as a silent no-op again
-    (ANALYZER, "rule = rules[kind]", "rule = rules.get(kind)", "killed"),
+    (ANALYZER, "rule = rules[kind]", "rule = rules.get(kind)",
+     "equivalent: Program's constructor refuses a foreign kind, so none reaches the loop"),
+    # Program: accept a kind that is not a GateKind
+    (CIRCUIT, "            if type(kind) is not GateKind:\n"
+              "                raise ValueError(f\"{kind!r} is not a valid GateKind\")\n", "",
+     "killed"),
+    # Program: check only a gate's base wire, not its last
+    (CIRCUIT, "_check_wires(n, wire, wire + kind.height - 1)", "_check_wires(n, wire, wire)",
+     "killed"),
+    # _check_wires: accept a negative wire
+    (CIRCUIT, "if not 0 <= index(wire) < n:", "if not index(wire) < n:", "killed"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

@@ -16,6 +16,7 @@ from qent.analyzer import AnalysisMode, _walk, analyze, analyze_traced, apply_cx
 from qent.circuit import (I, Gate, GateKind, Program, Seq, Tensor, iter_gates, parse_circuit,
                           parse_program, unparse)
 from qent.domain import AbstractState, BasisLabel, Partition, init_state
+from qent.oracle import basis_oracle, simulate
 from helpers import (
     ALL_KINDS,
     PITFALL_LEVELS_ROWS,
@@ -614,10 +615,10 @@ def analyses():
 
 
 class TestProgramContract:
-    """The analysis reads a Program only if its kinds are GateKind members and
-    its kinds and wires have equal length, and raises ValueError otherwise:
-    the rule table has an entry for every kind, so nothing passes as a
-    silent no-op."""
+    """A Program is built only if its kinds are GateKind members and its
+    kinds and wires have equal length, and raises ValueError otherwise, so
+    the analysis never meets one it cannot read; the rule table has an entry
+    for every kind, so nothing passes as a silent no-op."""
 
     def test_rules_cover_every_kind(self):
         assert set(qent.analyzer._RULES) == set(GateKind)
@@ -626,10 +627,9 @@ class TestProgramContract:
                                       lambda gate: None if gate.kind is GateKind.I else gate.kind],
                              ids=["Gate-node", "value", "None"])
     def test_foreign_kind_raises(self, kind):
-        program = program_of(parse_circuit("H ** I oo CX"), kind)
         for call in analyses():
             with pytest.raises(ValueError, match="is not a valid GateKind"):
-                call(program)
+                call(program_of(parse_circuit("H ** I oo CX"), kind))
 
     @pytest.mark.parametrize("kinds, wires", [((GateKind.H, GateKind.I, GateKind.CX), (0, 1)),
                                               ((GateKind.H, GateKind.I), (0, 1, 0))],
@@ -649,6 +649,36 @@ class TestProgramContract:
             program = program_of(circuit)
             for mode in AnalysisMode:
                 assert state_row(analyze(program, mode)) == state_row(analyze(circuit, mode))
+
+
+def wire_taking_calls():
+    """Each public function that takes a wire index, and a Program, as a
+    call of that one index on 2 wires."""
+    two = simulate(parse_circuit("I ** I"))
+    return {
+        "Program": lambda q: Program(2, (GateKind.I, GateKind.CX), (0, q - 1)),
+        "apply_gate": lambda q: apply_gate(init_state(2), GateKind.H, q),
+        "apply_cx_at": lambda q: apply_cx_at(init_state(2), 0, q),
+        "swap_adjacent": lambda q: init_state(2).swap_adjacent(q - 1),
+        "from_blocks": lambda q: Partition.from_blocks([[q, 0]], 2),
+        "same_block": lambda q: Partition.singletons(2).same_block(0, q),
+        "basis_oracle": lambda q: basis_oracle(two, q),
+    }
+
+
+class TestOneWireCheck:
+    """Every function that takes a wire index, and a Program's constructor,
+    refuses a bad one with the one check's errors."""
+
+    @pytest.mark.parametrize("name", wire_taking_calls())
+    def test_float_index_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            wire_taking_calls()[name](1.0)
+
+    @pytest.mark.parametrize("name", wire_taking_calls())
+    def test_out_of_range_names_the_wire(self, name):
+        with pytest.raises(IndexError, match=r"^qubit 2 out of range for n=2$"):
+            wire_taking_calls()[name](2)
 
 
 def shifted(blocks, offset):

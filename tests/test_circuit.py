@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,59 @@ class TestProgram:
             4, (GateKind.X, GateKind.H, GateKind.CX), (0, 1, 2))
         text = "(" * depth + "H"
         assert program_outcome(text) == outcome(text)
+
+
+BELL = (GateKind.H, GateKind.I, GateKind.CX)
+# (kinds, wires) on 2 wires that break the contract, and the error each raises
+BROKEN = {
+    "negative-wire": ((GateKind.H,), (-1,), IndexError),
+    "wire-n": ((GateKind.I,), (2,), IndexError),
+    "CX-at-n-1": ((GateKind.CX,), (1,), IndexError),
+    "SW-at-n-1": ((GateKind.H, GateKind.SW), (0, 1), IndexError),
+    "float-wire": ((GateKind.H,), (0.0,), TypeError),
+    "unhashable-kind": (([1],), (0,), ValueError),
+}
+
+
+class TestProgramIsValidByConstruction:
+    """Every way to make a Program runs its constructor's check, apart from
+    parse_program, whose programs are valid as parsed."""
+
+    @pytest.mark.parametrize("kinds, wires, error", BROKEN.values(), ids=BROKEN)
+    def test_refused_when_built(self, kinds, wires, error):
+        valid = Program(2, BELL, (0, 1, 0))
+        unchecked = tuple.__new__(Program, (2, kinds, wires))
+        for make in (lambda: Program(2, kinds, wires),
+                     lambda: Program._make((2, kinds, wires)),
+                     lambda: valid._replace(kinds=kinds, wires=wires),
+                     lambda: pickle.loads(pickle.dumps(unchecked)),
+                     lambda: copy.deepcopy(unchecked)):
+            with pytest.raises(error):
+                make()
+
+    def test_accepts_integers_as_index_reads_them(self):
+        program = Program(2, [GateKind.H, GateKind.CX], [True, 0])
+        assert program == (2, (GateKind.H, GateKind.CX), (1, 0))
+        assert type(program.kinds) is tuple and type(program.wires) is tuple
+        assert Program(0, (), ()) == (0, (), ())
+
+    def test_parse_program_runs_no_check(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the wire check ran")
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import gen
+
+        rng = random.Random(33)
+        texts = [unparse(random_circuit(rng, rng.randint(1, 12), rng.randint(1, 14)))
+                 for _ in range(300)]
+        bench_text = gen.tiled_grid(7, 24, 80, 0.08, 0.02, 80).text()
+        expected = [parse_program(text) for text in texts + [bench_text]]
+        monkeypatch.setattr("qent.circuit._check_wires", forbidden)
+        with pytest.raises(AssertionError, match="the wire check ran"):
+            Program(2, BELL, (0, 1, 0))
+        assert [parse_program(text) for text in texts + [bench_text]] == expected
+        assert len(expected[-1].kinds) > 1000
 
 
 class TestHeight:

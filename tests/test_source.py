@@ -113,3 +113,37 @@ def test_one_analysis_loop():
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
              and any(lookups & names(stmt) for stmt in node.body)]
     assert len(loops) == 1
+
+
+def calls_by_site(test) -> list[tuple[str, ast.AST]]:
+    """Each node of src/qent that test(node) accepts, with its site as
+    "module.qualified.name" of the function or class around it."""
+    found = []
+
+    def visit(node, owner):
+        if test(node):
+            found.append((owner, node))
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            visit(child, f"{owner}.{name}" if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_one_wire_check():
+    """`circuit._check_wires` is the only code in src/qent that raises
+    IndexError, so every wire is refused by the one check; and a Program is
+    built past its constructor's check (by a `__new__` call) only by the
+    parser, whose programs are valid as parsed, and by the constructor
+    itself once it has checked."""
+    raises = calls_by_site(lambda node: isinstance(node, ast.Raise) and node.exc is not None
+                           and "IndexError" in {n.id for n in ast.walk(node.exc)
+                                                if isinstance(n, ast.Name)})
+    assert [site for site, _ in raises] == ["circuit._check_wires"]
+    news = calls_by_site(lambda node: isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__")
+    assert [(site, ast.unparse(node.args[0])) for site, node in news] == [
+        ("circuit.Program.__new__", "cls"), ("circuit._parse", "Program")]
