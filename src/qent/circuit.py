@@ -12,10 +12,11 @@ override. `#` starts a comment that runs to the end of the line. A word
 Unicode whitespace separates tokens. The command line drops a leading UTF-8
 byte-order mark from a file before parsing it.
 
-The parser tokenizes with one `str.split()`, once comments are dropped and
-parentheses and `**` are spaced out. The regex `_TOKEN` defines the tokens;
-it runs only on a text with a chunk that is no known token, to find the
-first bad token and its line and column.
+The parser reads a code string with one character per token, which a few
+whole-text string passes build (`_codes`), and takes a whole tensor run
+`g ** g ** ... g` of gates in one step. The regex `_TOKEN` defines the
+tokens; it runs only on a text that `_codes` refuses, to find the first bad
+token and its line and column, and to place an error.
 
 The height of a circuit is the number of wires it spans. Single-qubit
 gates have height 1, SW and CX height 2, a tensor stacks heights, and a
@@ -55,7 +56,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice
 from operator import index
 from typing import Iterator, Union
 
@@ -168,7 +170,6 @@ SW = Gate(GateKind.SW)
 CX = Gate(GateKind.CX)
 
 GATES = {g.kind.value: g for g in (I, X, Y, Z, H, T, SW, CX)}
-_ATOMS = {name: (g, g.kind, g.height) for name, g in GATES.items()}  # the parser's gate tokens
 
 
 def _check_wires(n: int, *wires: int) -> None:
@@ -186,15 +187,18 @@ class Program(namedtuple("Program", "n kinds wires")):
     and analyze_traced take it in place of a tree.
 
     Valid by construction: the constructor, and with it _make, _replace,
-    pickle and copy, stores kinds and wires as tuples and raises ValueError
-    on a kind that is not a GateKind member or on tuples of unequal length,
-    and the wire check's IndexError or TypeError on a gate whose wires,
-    base to base + height - 1, are not all on the n wires."""
+    pickle and copy, reads n with operator.index (TypeError on a
+    non-integer), stores kinds and wires as tuples and raises ValueError on
+    a negative n, on a kind that is not a GateKind member or on tuples of
+    unequal length, and the wire check's IndexError or TypeError on a gate
+    whose wires, base to base + height - 1, are not all on the n wires."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, kinds: tuple[GateKind, ...], wires: tuple[int, ...]) -> Program:
-        kinds, wires = tuple(kinds), tuple(wires)
+        n, kinds, wires = index(n), tuple(kinds), tuple(wires)
+        if n < 0:
+            raise ValueError("qubit count must be non-negative")
         if len(kinds) != len(wires):
             raise ValueError(f"{len(kinds)} kinds but {len(wires)} wires")
         for kind, wire in zip(kinds, wires):
@@ -252,27 +256,55 @@ class ValidationError(_Located):
 # The reference lexer. One match per token: `**`, a parenthesis, a word (a
 # letter, then letters or digits), or any other non-space character, which is
 # always an error. A comment matches with the group empty and is dropped;
-# whitespace never matches. parse_circuit splits with _tokens first and runs
-# it only on a text with an unknown chunk; _position runs it to place errors.
-_TOKEN = re.compile(r"#.*|(\*\*|[()]|[^\W\d_][^\W_]*|\S)")
-_COMMENT = re.compile(r"#.*")
+# whitespace never matches. The parser reads the code string of _codes and
+# runs _TOKEN only on a text that _codes refuses; _position runs it to place
+# errors. Both patterns are strings that the re module compiles on first use
+# and caches, so a process that meets no comment and no error compiles
+# neither.
+_TOKEN = r"#.*|(\*\*|[()]|[^\W\d_][^\W_]*|\S)"
+_COMMENT = r"#.*"
 _KNOWN = {*GATES, "oo", "**", "(", ")"}
 
+# The code of each token is one character: a one-character token is its own
+# code, and each two-character token has a code outside the token alphabet.
+# "$" ends a code string, and _NAME gives each code back its token.
+_CODE = {"SW": "s", "CX": "c", "oo": "e", "**": "&"}
+_NAME = {**{code: name for name, code in _CODE.items()}, "$": ""}
+_GATE = {_CODE.get(name, name): gate for name, gate in GATES.items()}  # gate code -> singleton
+_KIND = {code: gate.kind for code, gate in _GATE.items()}
+_HEIGHT = {code: gate.height for code, gate in _GATE.items()}
+_RUN = re.compile("[IXYZHTsc](?:&[IXYZHTsc])*")  # a tensor run of gates
+_LETTERS = str.maketrans("IXYZHTsce", "a" * 9)  # each letter code to "a"
+# the 29 characters str.isspace() accepts, each mapped to None (deleted)
+_SPACES = dict.fromkeys([*range(0x9, 0xE), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+                         *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
+_NOT_CODES = str.maketrans("", "", "IXYZHTsce&()")
 
-def _tokens(text: str) -> list[str]:
-    """The chunks of text between whitespace, parentheses and `**`, with
-    comments dropped. When every chunk is in _KNOWN the list equals the
-    tokens _TOKEN finds; otherwise some _TOKEN token is unknown too. (A
-    known word is ASCII letters, which _TOKEN ends at any non-word
-    character, and the split spaces out the other known tokens.)"""
+
+def _codes(text: str) -> str | None:
+    """The code string of text: one code per _TOKEN token, then "$"; or None
+    when some _TOKEN token is unknown.
+
+    Whole-text passes: drop comments; replace each two-character token by
+    its code, unless the text already holds that code, which only an
+    unknown token can; refuse two adjacent letter codes, which only a word
+    that is no token forms; delete whitespace; refuse any character left
+    that is no code. So the k-th code is the k-th token."""
     if "#" in text:
-        text = _COMMENT.sub("", text)
-    return text.replace("(", " ( ").replace(")", " ) ").replace("**", " ** ").split()
+        text = re.sub(_COMMENT, "", text)
+    for name, code in _CODE.items():
+        if code in text:
+            return None
+        text = text.replace(name, code)
+    if "aa" in text.translate(_LETTERS):
+        return None
+    codes = text.translate(_SPACES)
+    return None if codes.translate(_NOT_CODES) else codes + "$"
 
 
 def _position(text: str, k: int) -> tuple[int, int]:
     """1-based line and column of the k-th token of text, or of its end."""
-    starts = (m.start() for m in _TOKEN.finditer(text) if m.group(1))
+    starts = (m.start() for m in re.finditer(_TOKEN, text) if m.group(1))
     pos = next(islice(starts, k, None), len(text))
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
@@ -306,26 +338,30 @@ def parse_program(text: str) -> Program:
 def _parse(text: str, tree: bool) -> CircuitAst | Program:
     """The one parser loop: a syntax tree when tree is true, else a Program.
 
-    The tokens are the chunks of one str.split() (_tokens). A text with an
-    unknown chunk is tokenized again with the regex _TOKEN, which names the
-    first bad token and places it, so diagnostics are the regex lexer's.
+    It reads the code string of _codes, one character per token, so the
+    k-th code is the k-th token. A text _codes refuses is tokenized again
+    with the regex _TOKEN, which names the first bad token and places it,
+    so diagnostics are the regex lexer's.
 
     The grammar is seq := tensor ("oo" tensor)*, tensor := atom ("**" atom)*,
-    atom := gate | "(" seq ")". It is parsed in one loop over the tokens with
-    an explicit stack holding, per open "(", the enclosing level's state, so
-    nesting depth is unbounded. A level's state is its base wire, the height
-    of its sequence so far (0 before its first tensor), the height of its
-    open tensor so far, its last `oo`, and in tree mode the sequence and
-    tensor built so far. Heights are integers in both modes, so a mismatch
-    is found, and placed at its `oo`, before any Seq is built. A gate's base
-    wire is its level's base plus the open tensor's height, known as its
-    token is read; gates are met in the order iter_gates yields them, so the
-    program mode appends each gate as it reads it and builds no node, and
-    the tree mode appends nothing.
+    atom := gate | "(" seq ")". It is parsed in one loop with an explicit
+    stack holding, per open "(", the enclosing level's state, so nesting
+    depth is unbounded. A level's state is its base wire, the height of its
+    sequence so far (0 before its first tensor), the height of its open
+    tensor so far, its last `oo`, and in tree mode the sequence and tensor
+    built so far. Heights are integers in both modes, so a mismatch is
+    found, and placed at its `oo`, before any Seq is built.
+
+    One step reads a whole run `g ** g ** ... g` of gates with one match of
+    _RUN. Its gates' base wires follow the level's base plus the open
+    tensor's height, known as the run is read; gates are met in the order
+    iter_gates yields them, so the program mode appends each run's kinds and
+    wires as it reads it and builds no node, and the tree mode stacks the
+    run's gates onto the open tensor and appends nothing.
     """
-    tokens = _tokens(text)
-    if not _KNOWN.issuperset(tokens):
-        tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    codes = _codes(text)
+    if codes is None:
+        tokens = [tok for tok in re.findall(_TOKEN, text) if tok]
         k, word = next((k, tok) for k, tok in enumerate(tokens) if tok not in _KNOWN)
         c = word[0]  # a regex word may start with a non-letter such as '²'
         if c == "*":
@@ -335,16 +371,15 @@ def _parse(text: str, tree: bool) -> CircuitAst | Program:
         else:
             message = f"unexpected character {c!r}"
         raise CircuitSyntaxError(message, *_position(text, k))
-    tokens.append("")  # end of input
 
     def error(message: str, k: int) -> CircuitSyntaxError:
-        tok = tokens[k]
+        tok = _NAME.get(codes[k], codes[k])
         found = f", found {tok!r}" if tok else " (unexpected end of input)"
         return CircuitSyntaxError(message + found, *_position(text, k))
 
     kinds: list[GateKind] = []
     wires: list[int] = []
-    add_kind, add_wire = kinds.append, wires.append
+    add_kinds, add_wires = kinds.extend, wires.extend
     frames: list[tuple] = []
     seq = tensor = None
     base = height = width = 0
@@ -352,27 +387,32 @@ def _parse(text: str, tree: bool) -> CircuitAst | Program:
     k = -1
     while True:
         k += 1
-        tok = tokens[k]
-        if tok == "(":
+        c = codes[k]
+        if c == "(":
             frames.append((seq, tensor, base, height, width, oo, k))
             seq = tensor = None
             base += width
             height = width = 0
             continue
-        atom = _ATOMS.get(tok)
-        if atom is None:
+        run = _RUN.match(codes, k)
+        if run is None:
             raise error("expected gate or '('", k)
-        node, kind, h = atom
-        while True:  # fold the finished atom `node`, of height h, into the open tensor and sequence
-            if tree:
-                tensor = node if tensor is None else Tensor(tensor, node)
-            elif kind is not None:  # a gate, not a closed parenthesis
-                add_kind(kind)
-                add_wire(base + width)
-            width += h
+        k = run.end() - 1
+        gates = run.group()[::2]
+        two = gates.count("s") + gates.count("c")  # two-wire gates
+        if tree:
+            nodes = map(_GATE.__getitem__, gates)
+            tensor = reduce(Tensor, nodes, next(nodes) if tensor is None else tensor)
+        else:
+            add_kinds(map(_KIND.__getitem__, gates))
+            start = base + width
+            add_wires(accumulate(map(_HEIGHT.__getitem__, gates[:-1]), initial=start) if two
+                      else range(start, start + len(gates)))
+        width += len(gates) + two
+        while True:  # end the open tensor, fold each closed parenthesis into the tensor around it
             k += 1
-            tok = tokens[k]
-            if tok == "**":
+            c = codes[k]
+            if c == "&":
                 break
             if not height:
                 height = width
@@ -382,18 +422,21 @@ def _parse(text: str, tree: bool) -> CircuitAst | Program:
                 seq = tensor if seq is None else Seq(seq, tensor)
                 tensor = None
             width = 0
-            if tok == "oo":
+            if c == "e":
                 oo = k
                 break
             if not frames:
-                if tok:
+                if c != "$":
                     raise error("expected operator or end of input", k)
                 return seq if tree else tuple.__new__(Program, (height, tuple(kinds), tuple(wires)))
-            node, kind, h = seq, None, height
+            node, h = seq, height
             seq, tensor, base, height, width, oo, opening = frames.pop()
-            if tok != ")":
+            if c != ")":
                 line, column = _position(text, opening)
                 raise error(f"unbalanced parenthesis opened at {line}:{column}", k)
+            if tree:
+                tensor = node if tensor is None else Tensor(tensor, node)
+            width += h
 
 
 def validate(circuit: CircuitAst) -> int:

@@ -240,7 +240,8 @@ def _soundness_doc(report: SoundnessReport) -> dict:
 
 def _decode(data: bytes) -> str:
     # UTF-8 with universal newlines, as a text-mode read decodes it
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _load(path: str, tree: bool = False) -> CircuitAst | Program:

@@ -4,11 +4,12 @@
 
 MUTANTS lists single edits (file, old, new, expected) of the rules and the
 analysis loop (with its loop over modes) in `analyzer`, the partition
-operations in `domain` they call, and the checks in `circuit` that make a
-Program valid by construction. For each
-mutant (or only those NUMBERs, counted from 1), the checkout is copied to
-a temporary directory, `old` is replaced by `new` there (the checkout
-itself is never edited), and the tier-1 suite runs in the copy with -x.
+operations in `domain` they call, the checks in `circuit` that make a
+Program valid by construction, and the refusals of its lexer `_codes`.
+For each mutant (or only those NUMBERs, counted from 1), the checkout is
+copied to a temporary directory, `old` is replaced by `new` there (the
+checkout itself is never edited), and the tier-1 suite runs in the copy
+with -x.
 
 Prints one row per mutant: its number and edit, the verdict, the first
 failing test and the seconds taken. The verdict is `killed` (some test
@@ -107,6 +108,19 @@ MUTANTS = [
      "killed"),
     # _check_wires: accept a negative wire
     (CIRCUIT, "if not 0 <= index(wire) < n:", "if not index(wire) < n:", "killed"),
+    # Program: accept a negative qubit count
+    (CIRCUIT, "        if n < 0:\n"
+              "            raise ValueError(\"qubit count must be non-negative\")\n", "", "killed"),
+    # Program: store n as given, not as operator.index reads it
+    (CIRCUIT, "n, kinds, wires = index(n), tuple(kinds)", "n, kinds, wires = n, tuple(kinds)",
+     "killed"),
+    # _codes: replace a two-character token in a text that already holds its code
+    (CIRCUIT, "        if code in text:\n            return None\n", "", "killed"),
+    # _codes: accept two adjacent letters
+    (CIRCUIT, 'if "aa" in text.translate(_LETTERS):', "if False:", "killed"),
+    # _codes: accept a character that is no code
+    (CIRCUIT, 'return None if codes.translate(_NOT_CODES) else codes + "$"',
+     'return codes + "$"', "killed"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",

@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,10 @@ from qent.circuit import (
     SW,
     X,
     Z,
+    _CODE,
     _KNOWN,
+    _NAME,
+    _SPACES,
     _TOKEN,
     CircuitSyntaxError,
     Gate,
@@ -30,7 +34,7 @@ from qent.circuit import (
     iter_gates,
     parse_circuit,
     parse_program,
-    _tokens,
+    _codes,
     unparse,
     validate,
 )
@@ -153,7 +157,7 @@ class TestParse:
 
 
 def regex_tokens(text):
-    return [tok for tok in _TOKEN.findall(text) if tok]
+    return [tok for tok in re.findall(_TOKEN, text) if tok]
 
 
 def outcome(text):
@@ -192,16 +196,20 @@ class TestLexer:
             parse_circuit(text)
         assert (err.value.line, err.value.column, err.value.message) == expected
 
-    # pieces of the differential corpus
+    # pieces of the differential corpus, with each code character and a lone
+    # character of each two-character token
     KNOWN = [*GATES, "oo", "**", "(", ")", " "]
     ODD = ["*", "#", "#c\n", "\n", "\r", "H2", "H_X", "_", "2", "\u00b2H", "\uff28", "H\u0301",
-           "o", "Q", "x", *SPACES]
+           "o", "Q", "x", "S", "W", "C", "s", "c", "e", "&", "$", "a", *SPACES]
     FIXED = ["H#c\nX", "H oo X # c", "H#c\rX", "H\r**\rX", "X**Y", "(H)oo(X)", "***", "* *",
-             "****", "H2", "H_X", "\u00b2H", "\uff28", "H\u0301", "H\u0301 ** X", ""]
+             "****", "H2", "H_X", "\u00b2H", "\uff28", "H\u0301", "H\u0301 ** X", "",
+             "H ** s", "c", "H oo e", "H & X", "H $", "H$", "Ha", "aH", "SWs", "sW", "CXc",
+             "ooe", "&**", "S", "W", "C", "o", "S W", "C X", "o o", "SWX", "SSWW", "CCXX", "ooo",
+             "Hoo", "ooH", "SWCX", "CX**SW", "(SW)oo(CX)", "H ** * X", "H ** (X oo *)"]
 
     def corpus(self):
         yield from self.FIXED
-        for space in SPACES:  # every character str.split() splits on
+        for space in SPACES:  # every character str.isspace() accepts
             yield f"H{space}**{space}X"
             yield f"{space}(CX){space}oo{space}SW#{space}c"
         rng = random.Random(12)
@@ -209,24 +217,39 @@ class TestLexer:
             yield "".join(rng.choice(self.ODD if rng.random() < 0.2 else self.KNOWN)
                           for _ in range(rng.randint(1, 12)))
 
-    def test_split_path_matches_regex(self, monkeypatch):
-        """_tokens, the split tokenizer parse_circuit runs first, against the
-        reference regex _TOKEN: wherever all of its chunks are known tokens
-        they are the regex's tokens, and every parse ends as a regex-only
-        parse does."""
+    def test_codes_match_regex(self, monkeypatch):
+        """_codes, the lexer the parser runs, against the reference regex
+        _TOKEN: it refuses a text exactly when some regex token is unknown,
+        else its codes name the regex tokens one by one, and every parse ends
+        as a parse of the regex's tokens does."""
         texts = list(self.corpus())
-        split_taken = 0
+        coded = 0
         for text in texts:
-            chunks = _tokens(text)
-            if _KNOWN.issuperset(chunks):
-                split_taken += 1
-                assert chunks == regex_tokens(text), text
-        assert split_taken > len(texts) // 10
+            tokens, codes = regex_tokens(text), _codes(text)
+            assert (codes is None) == (not _KNOWN.issuperset(tokens)), text
+            if codes is not None:
+                coded += 1
+                assert [_NAME.get(code, code) for code in codes] == tokens + [""], text
+        assert coded > len(texts) // 10
         results = [outcome(text) for text in texts]
         with monkeypatch.context() as m:
-            m.setattr("qent.circuit._tokens", regex_tokens)
+            m.setattr("qent.circuit._codes", regex_codes)
             assert [outcome(text) for text in texts] == results
         assert sum(type(r) is not tuple for r in results) > 500
+
+    def test_whitespace_table_is_str_isspace(self):
+        """The literal table _codes deletes with holds every str.isspace()
+        character, as this Python's Unicode database lists them."""
+        assert set(_SPACES) == set(map(ord, SPACES))
+        assert set(_SPACES.values()) == {None}
+
+
+def regex_codes(text):
+    """A code string from the regex's tokens alone: None when one is unknown."""
+    tokens = regex_tokens(text)
+    if not _KNOWN.issuperset(tokens):
+        return None
+    return "".join(_CODE.get(tok, tok) for tok in tokens) + "$"
 
 
 def flat(tree):
@@ -290,6 +313,18 @@ class TestProgram:
         programs, errors = self.same_outcome(render(shape) for shape in shapes)
         assert programs > 100 and errors > 100
 
+    @pytest.mark.parametrize("text", [
+        "H ** (X oo Y) ** CX",  # a run broken by a parenthesised atom
+        "CX ** H ** I ** SW oo SW ** X ** Y ** CX",  # two-wire gates at a run's ends
+        "(H oo X) ** CX ** T ** (SW oo CX) ** Z",  # runs after and before a closed atom
+        "H", "CX", "(SW)", "H oo X oo (T)",  # runs of one gate
+        "X ** Y\n** Z ** (CX oo SW) ** (I ** H oo T ** Z)\n** SW",  # runs across lines
+        "I ** " + "(" * 40 + "H ** CX ** X" + " oo H ** SW ** X)" * 40 + " ** Y",  # deep nesting
+    ], ids=["broken", "two-wire-ends", "beside-atoms", "gate", "two-wire-gate",
+            "parenthesised-gate", "one-gate-runs", "across-lines", "deep"])
+    def test_runs_match_the_tree(self, text):
+        assert parse_program(text) == flat(parse_circuit(text))
+
     @pytest.mark.parametrize("text", ["H oo CX", "H oo CX oo", "(H oo X oo CX", "H oo CX **",
                                       "H ** oo I oo CX", "H oo CX oo Q", "", "H I", "(H"])
     def test_errors_match(self, text):
@@ -324,14 +359,17 @@ class TestProgram:
 
 
 BELL = (GateKind.H, GateKind.I, GateKind.CX)
-# (kinds, wires) on 2 wires that break the contract, and the error each raises
+# (n, kinds, wires) that break the contract, and the error each raises
 BROKEN = {
-    "negative-wire": ((GateKind.H,), (-1,), IndexError),
-    "wire-n": ((GateKind.I,), (2,), IndexError),
-    "CX-at-n-1": ((GateKind.CX,), (1,), IndexError),
-    "SW-at-n-1": ((GateKind.H, GateKind.SW), (0, 1), IndexError),
-    "float-wire": ((GateKind.H,), (0.0,), TypeError),
-    "unhashable-kind": (([1],), (0,), ValueError),
+    "negative-wire": (2, (GateKind.H,), (-1,), IndexError),
+    "wire-n": (2, (GateKind.I,), (2,), IndexError),
+    "CX-at-n-1": (2, (GateKind.CX,), (1,), IndexError),
+    "SW-at-n-1": (2, (GateKind.H, GateKind.SW), (0, 1), IndexError),
+    "float-wire": (2, (GateKind.H,), (0.0,), TypeError),
+    "unhashable-kind": (2, ([1],), (0,), ValueError),
+    "float-n": (2.5, (GateKind.H,), (1,), TypeError),
+    "str-n": ("2", (), (), TypeError),
+    "negative-n": (-1, (), (), ValueError),
 }
 
 
@@ -339,13 +377,13 @@ class TestProgramIsValidByConstruction:
     """Every way to make a Program runs its constructor's check, apart from
     parse_program, whose programs are valid as parsed."""
 
-    @pytest.mark.parametrize("kinds, wires, error", BROKEN.values(), ids=BROKEN)
-    def test_refused_when_built(self, kinds, wires, error):
+    @pytest.mark.parametrize("n, kinds, wires, error", BROKEN.values(), ids=BROKEN)
+    def test_refused_when_built(self, n, kinds, wires, error):
         valid = Program(2, BELL, (0, 1, 0))
-        unchecked = tuple.__new__(Program, (2, kinds, wires))
-        for make in (lambda: Program(2, kinds, wires),
-                     lambda: Program._make((2, kinds, wires)),
-                     lambda: valid._replace(kinds=kinds, wires=wires),
+        unchecked = tuple.__new__(Program, (n, kinds, wires))
+        for make in (lambda: Program(n, kinds, wires),
+                     lambda: Program._make((n, kinds, wires)),
+                     lambda: valid._replace(n=n, kinds=kinds, wires=wires),
                      lambda: pickle.loads(pickle.dumps(unchecked)),
                      lambda: copy.deepcopy(unchecked)):
             with pytest.raises(error):
@@ -356,6 +394,9 @@ class TestProgramIsValidByConstruction:
         assert program == (2, (GateKind.H, GateKind.CX), (1, 0))
         assert type(program.kinds) is tuple and type(program.wires) is tuple
         assert Program(0, (), ()) == (0, (), ())
+        assert Program(True, (GateKind.H,), (0,)) == (1, (GateKind.H,), (0,))
+        with pytest.raises(ValueError, match="^qubit count must be non-negative$"):
+            Program(-1, (), ())
 
     def test_parse_program_runs_no_check(self, monkeypatch):
         def forbidden(*args):

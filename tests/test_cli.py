@@ -250,6 +250,17 @@ class TestAnalyze:
         path.write_bytes(b"\xef\xbb\xbf" + text)
         assert run(capsys, ["analyze", str(path)]) == plain
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+    @pytest.mark.parametrize("text", [b"H ** I\noo CX\n", b"H ** I\noo X ** X\noo CX oo H",
+                                      b"H **\n\nQQ", b"(H\n", b"H oo\nH # caf\xe9"],
+                             ids=["valid", "mismatch", "unknown", "unbalanced", "not-utf8"])
+    def test_other_newlines_read_as_line_feeds(self, tmp_path, capsys, newline, text):
+        path = tmp_path / "circuit.qc"
+        path.write_bytes(text)
+        plain = run(capsys, ["analyze", str(path)])
+        path.write_bytes(text.replace(b"\n", newline))
+        assert run(capsys, ["analyze", str(path)]) == plain
+
     def test_byte_order_mark_then_non_utf8(self, tmp_path, capsys):
         path = tmp_path / "bom.qc"
         path.write_bytes(b"\xef\xbb\xbfH \xe9")
